@@ -93,6 +93,12 @@ _CHOICES = {
 }
 
 
+def _finite(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return value
+
+
 def _parse_value(key: str, raw: str, target_type, line: int):
     raw = raw.strip()
     if raw in ("none", "auto", ""):
@@ -107,9 +113,9 @@ def _parse_value(key: str, raw: str, target_type, line: int):
         if target_type is int:
             return int(raw)
         if target_type is float:
-            return float(raw)
+            return _finite(raw)
         if target_type is tuple:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
+            return tuple(_finite(v) for v in raw.split(",") if v.strip())
         return raw
     except ValueError as exc:
         raise ConfigError(str(exc), line=line, key=key) from None

@@ -120,24 +120,23 @@ class FiringRateModel:
             out = np.maximum(out, floor)
         return float(out) if np.ndim(out) == 0 else out
 
-    def interval_rates(self, age: AgeGrid, S) -> np.ndarray:
+    def interval_rates(self, age: AgeGrid, S, out: np.ndarray | None = None) -> np.ndarray:
         """Mean rate over each age interval (s_{i-1}, s_i], shape (ns-1, [nx]).
 
         For the step kind the cell containing sigma(S) gets the exact
         fractional overlap of the interval with (sigma, inf), which removes
-        the staircase dependence of the activity on sigma.
+        the staircase dependence of the activity on sigma.  The rates are
+        written into `out` when it is given.
         """
-        edges = age.nodes
         sig = np.asarray(self.sigma(S), dtype=float)
-        lo, hi = edges[:-1], edges[1:]
+        edges = age.nodes[:, None] if sig.ndim else age.nodes
+        if out is None:
+            out = np.empty((age.ns - 1,) + sig.shape)
         if self.kind == "step":
-            if sig.ndim == 0:
-                frac = np.clip((hi - sig) / age.ds, 0.0, 1.0)
-            else:
-                frac = np.clip((hi[:, None] - sig[None, :]) / age.ds, 0.0, 1.0)
-            return self.p_inf * frac
-        p = self.evaluate(edges[:, None] if sig.ndim else edges, S)
-        return 0.5 * (p[:-1] + p[1:])
+            np.divide(np.subtract(edges[1:], sig, out=out), age.ds, out=out)
+            return np.multiply(np.clip(out, 0.0, 1.0, out=out), self.p_inf, out=out)
+        p = self.evaluate(edges, S)
+        return np.multiply(np.add(p[:-1], p[1:], out=out), 0.5, out=out)
 
     def node_rates(self, age: AgeGrid, S) -> np.ndarray:
         """Per-node rates for trapezoid quadratures of the discharge integral."""

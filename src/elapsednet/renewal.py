@@ -15,6 +15,11 @@ drifts only by the telescoped boundary mismatch (N - n_0)(ds/2 - dt/eps)
 otherwise.  Pairing the loss term with the same interval means gives the
 scheme a Crank-Nicolson stationary profile, accurate to O(ds^2).
 
+One `Stepper` takes every upwind step, in place on preallocated buffers.
+For the step rate every interval above the cell k holding sigma(S) fires
+at p_inf, so with the suffix sums C_k of the interval means, formed once
+per step, each trial activity of the stimulation coupling costs O(nx).
+
 The connectivity kernel relaxes toward gamma * G(N(x), N(y)) and is advanced
 by the exact one-step exponential formula with the activity frozen over the
 step, which is unconditionally stable.
@@ -37,7 +42,7 @@ class CFLError(RuntimeError):
 
 
 class NegativeDensityError(RuntimeError):
-    """Density dipped below the -1e-12 sentinel: scheme instability, not round-off."""
+    """Density below the -1e-12 sentinel or NaN: scheme instability, not round-off."""
 
 
 NEGATIVE_SENTINEL = -1e-12
@@ -75,7 +80,7 @@ class SolverConfig:
 
         The sharper positivity bound dt/(eps*ds) + dt*r/(2*eps) <= 1 is
         enforced per step against the rates actually present on the grid
-        (see guard_positivity); a threshold above s_max legitimately makes
+        (see Stepper.advance); a threshold above s_max legitimately makes
         the step pure transport where lam = 1 is exact.
         """
         if self.dt * model.p_inf > 1.0 + 1e-12:
@@ -89,17 +94,6 @@ class SolverConfig:
         if age.ds * model.p_inf > 2.0:
             raise CFLError(
                 f"ds = {age.ds} too coarse for p_inf = {model.p_inf} (needs ds*p_inf <= 2)"
-            )
-
-    def guard_positivity(self, age: AgeGrid, max_rate: float) -> None:
-        if not self.cfl_guard:
-            return
-        lam = self.dt / (self.epsilon * age.ds)
-        bound = lam + 0.5 * (self.dt / self.epsilon) * max_rate
-        if bound > 1.0 + 1e-12:
-            raise CFLError(
-                f"positivity bound violated: dt/(eps*ds) + dt*r_max/(2*eps) = "
-                f"{bound:.6g} > 1 (max rate {max_rate:.6g})"
             )
 
 
@@ -146,81 +140,96 @@ class RunRecord:
         return self._lookup(self.n_snapshots, t)
 
 
-def _renewal_flux(values: np.ndarray, rates: np.ndarray, ds: float) -> np.ndarray:
-    """Discharge integral sum_i ds * r_i * (n_{i-1} + n_i)/2, one value per x."""
-    nbar = 0.5 * (values[1:] + values[:-1])
-    return ds * np.sum(rates * nbar, axis=0)
+class Stepper:
+    """Explicit upwind steps of eps dn/dt + dn/ds + p(s, S) n = 0 on a copy of n.
 
-
-def _advance(values: np.ndarray, rates: np.ndarray, lam: float, dt_eff: float,
-             ds: float) -> tuple[np.ndarray, np.ndarray]:
-    """One upwind step with the interval-paired discharge; returns (new, N).
-
-    `rates` holds the interval-mean firing rates (ns-1 rows), `lam` is
-    dt/(eps*ds) and `dt_eff` is dt/eps.  The update coefficients are formed
-    once so that the pure-transport case lam = 1 shifts exactly.
+    Per step: `load` the interval means, evaluate the activity for the
+    coupling, and `advance`, whose rates stay buffered for the next `flux`.
     """
-    nbar = 0.5 * (values[1:] + values[:-1])
-    loss = dt_eff * rates * nbar
-    N = ds * np.sum(rates * nbar, axis=0)
-    new = np.empty_like(values)
-    new[1:-1] = values[1:-1] - lam * (values[1:-1] - values[:-2]) - loss[:-1]
-    new[-1] = values[-1] + 2.0 * lam * values[-2] - 2.0 * loss[-1]
-    new[0] = N
-    return new, N
+
+    def __init__(self, n: DensityField, model: FiringRateModel, cfg: SolverConfig):
+        cfg.validate(n.age, model)
+        self.age, self.model, self.cfg = n.age, model, cfg
+        self.lam = cfg.dt / (cfg.epsilon * n.age.ds)
+        self.values, self.new = n.values.copy(), np.empty_like(n.values)
+        self.nbar, self.rates, self.loss = (np.empty_like(n.values[1:]) for _ in range(3))
+        self.suffix = np.zeros_like(n.values)  # C_k = sum_{i >= k} nbar_i; C_{ns-1} = 0
+        self.steps = 0
+        self.load()
+
+    def load(self) -> None:
+        """Form the interval means nbar = (n_{i-1} + n_i)/2 of the current field."""
+        np.add(self.values[1:], self.values[:-1], out=self.nbar)
+        self.nbar *= 0.5
+        self.suffix_ready = False
+
+    def activity(self, S: np.ndarray) -> np.ndarray:
+        """N = ds sum_i r_i(S) nbar_i of the loaded field, one value per x.
+
+        For the step kind every interval above the cell k holding sigma(S)
+        fires at p_inf, so N = ds p_inf (C_{k+1} + frac_k nbar_k) costs O(nx).
+        """
+        model, ds, edges = self.model, self.age.ds, self.age.nodes
+        if model.kind != "step":
+            return ds * np.sum(model.interval_rates(self.age, S) * self.nbar, axis=0)
+        if not self.suffix_ready:
+            np.cumsum(self.nbar[::-1], axis=0, out=self.suffix[-2::-1])
+            self.suffix_ready = True
+        sig = model.sigma(S)
+        k = np.clip(np.searchsorted(edges, sig, side="right") - 1, 0, len(edges) - 2)
+        frac = np.clip((edges[k + 1] - sig) / ds, 0.0, 1.0)
+        cols = np.arange(len(k))
+        return ds * model.p_inf * (self.suffix[k + 1, cols] + frac * self.nbar[k, cols])
+
+    def set_rates(self, S: np.ndarray) -> None:
+        self.model.interval_rates(self.age, S, out=self.rates)
+
+    def flux(self) -> np.ndarray:
+        """The discharge integral ds sum_i r_i nbar_i at the set rates."""
+        return self.age.ds * np.multiply(self.rates, self.nbar, out=self.loss).sum(axis=0)
+
+    def advance(self, S: np.ndarray) -> np.ndarray:
+        """One step of the loaded field at stimulation S; returns the injected N.
+
+        The coefficients are formed once so that lam = 1 shifts exactly.
+        """
+        self.set_rates(S)
+        cfg, lam, v, new, loss = self.cfg, self.lam, self.values, self.new, self.loss
+        r_max = float(self.rates.max())
+        if cfg.cfl_guard and (bound := lam + 0.5 * (cfg.dt / cfg.epsilon) * r_max) > 1 + 1e-12:
+            raise CFLError(f"positivity bound violated: dt/(eps*ds) + dt*r_max/(2*eps) = "
+                           f"{bound:.6g} > 1 (max rate {r_max:.6g})")
+        N = self.flux()
+        np.multiply(self.rates, cfg.dt / cfg.epsilon, out=loss)
+        loss *= self.nbar
+        inner = np.subtract(v[1:-1], v[:-2], out=new[1:-1])
+        inner *= lam
+        np.subtract(v[1:-1], inner, out=inner)
+        inner -= loss[:-1]
+        new[-1] = v[-1] + 2.0 * lam * v[-2] - 2.0 * loss[-1]
+        new[0] = N
+        self.values, self.new = new, v
+        self.steps += 1
+        low = float(new.min())
+        if not low >= NEGATIVE_SENTINEL:  # NaN fails this comparison too
+            raise NegativeDensityError(
+                f"density reached {low:.3e} at t = {self.steps * cfg.dt:.6g}")
+        return N
 
 
-def linear_step(
-    n: DensityField,
-    S: np.ndarray,
-    model: FiringRateModel,
-    cfg: SolverConfig,
-) -> tuple[DensityField, np.ndarray]:
+def linear_step(n: DensityField, S: np.ndarray, model: FiringRateModel,
+                cfg: SolverConfig) -> tuple[DensityField, np.ndarray]:
     """One explicit step of eps dn/dt + dn/ds + p(s, S) n = 0 with S frozen.
 
     The boundary node is set to the renewal integral of the pre-step field.
     Returns the stepped field and the injected activity N.
     """
-    cfg.validate(n.age, model)
     S = np.asarray(S, dtype=float)
     if S.shape != (n.space.nx,):
         raise GridError(f"stimulation shape {S.shape} does not match grid ({n.space.nx},)")
-    rates = model.interval_rates(n.age, S)
-    cfg.guard_positivity(n.age, float(rates.max()))
-    lam = cfg.dt / (cfg.epsilon * n.age.ds)
-    new, N = _advance(n.values, rates, lam, cfg.dt / cfg.epsilon, n.age.ds)
-    low = float(new.min())
-    if low < NEGATIVE_SENTINEL:
-        raise NegativeDensityError(f"density reached {low:.3e} < {NEGATIVE_SENTINEL}")
-    return DensityField(new, n.age, n.space), N
-
-
-def _instantaneous_S(
-    n_values: np.ndarray,
-    w: np.ndarray,
-    model: FiringRateModel,
-    age: AgeGrid,
-    space: SpatialGrid,
-    I_now: np.ndarray,
-    opts: PicardOptions,
-) -> np.ndarray:
-    """Solve S = integral(w * N(n, S)) + I for the current density by damped Picard."""
-    wq = w * space.weights[None, :]
-
-    def apply_map(S: np.ndarray) -> np.ndarray:
-        rates = model.interval_rates(age, S)
-        N = _renewal_flux(n_values, rates, age.ds)
-        return wq @ N + I_now
-
-    result = damped_fixed_point(apply_map, I_now, opts.tol, opts.max_iters, opts.damping)
-    if not result.converged:
-        warnings.warn(
-            f"initial stimulation fixed point stopped at residual {result.residual:.3e}; "
-            f"using a single lagged evaluation",
-            stacklevel=2,
-        )
-        return np.asarray(apply_map(I_now), dtype=float)
-    return result.value
+    stepper = Stepper(n, model, cfg)
+    N = stepper.advance(S)
+    return DensityField(stepper.values, n.age, n.space), N
 
 
 def nonlinear_run(
@@ -250,7 +259,7 @@ def nonlinear_run(
     `observe_stride` steps (and at t = 0 and t_end) with the live state, so
     studies can accumulate distances without storing density snapshots.
     """
-    cfg.validate(n0.age, model)
+    stepper = Stepper(n0, model, cfg)  # validates the step sizes first
     space, age = n0.space, n0.age
     g = n0.mass()
     I_vals = input_model.evaluate(space)
@@ -274,14 +283,20 @@ def nonlinear_run(
         save_every = t_end
     stride = max(1, int(round(save_every / cfg.dt)))
 
-    values = n0.values.copy()
     w = w0.values.copy()
-    lam = cfg.dt / (cfg.epsilon * age.ds)
-    dt_eff = cfg.dt / cfg.epsilon
     decay = np.exp(-cfg.dt)
     xw = space.weights
+    opts = cfg.picard
 
-    S = _instantaneous_S(values, w, model, age, space, I_vals, cfg.picard)
+    def coupling(S_trial: np.ndarray) -> np.ndarray:  # S = integral(w N(n, S)) + I
+        return w @ (xw * stepper.activity(S_trial)) + I_vals
+
+    # the initial stimulation solves the coupling on n0
+    result = damped_fixed_point(coupling, I_vals, opts.tol, opts.max_iters, opts.damping)
+    S = result.value if result.converged else coupling(I_vals)
+    if not result.converged:
+        warnings.warn(f"initial stimulation fixed point stopped at residual "
+                      f"{result.residual:.3e}; using a single lagged evaluation", stacklevel=2)
     snap_steps = {int(round(ts / cfg.dt)) for ts in snapshot_times}
     snap_steps.add(n_steps)  # the final kernel is always kept
 
@@ -289,62 +304,42 @@ def nonlinear_run(
     w_snaps: dict[float, np.ndarray] = {}
     n_snaps: dict[float, np.ndarray] = {}
 
-    def kernel_stats(mat: np.ndarray) -> tuple[float, float]:
-        mean = float(xw @ mat @ xw) / space.length**2
-        return mean, float(np.abs(mat - mean).max())
-
     def record(step: int, N_now: np.ndarray, S_now: np.ndarray) -> None:
         t = step * cfg.dt
         times.append(t)
         N_rows.append(N_now.copy())
         S_rows.append(S_now.copy())
-        mass_rows.append(age.integrate(values))
-        mean, dev = kernel_stats(w)
-        wm_rows.append(mean)
-        wd_rows.append(dev)
+        mass_rows.append(age.integrate(stepper.values))
+        kernel = ConnectivityKernel(w, space)
+        wm_rows.append(kernel.mean())
+        wd_rows.append(kernel.deviation_from_mean())
         if step in snap_steps:
             w_snaps[t] = w.copy()
             if record_density:
-                n_snaps[t] = values.copy()
+                n_snaps[t] = stepper.values.copy()
 
-    rates = model.interval_rates(age, S)
-    N = _renewal_flux(values, rates, age.ds)
+    stepper.set_rates(S)
+    N = stepper.flux()
     record(0, N, S)
     if observer is not None:
-        observer(0.0, values, N, S)
+        observer(0.0, stepper.values, N, S)
 
     for step in range(1, n_steps + 1):
         # (i)-(ii): stimulation coupling on the pre-step field
-        if cfg.picard.mode == "lagged":
-            rates = model.interval_rates(age, S)
-            N = _renewal_flux(values, rates, age.ds)
-            S = w @ (xw * N) + I_vals
+        stepper.load()
+        if opts.mode == "lagged":
+            # the buffered rates are those of the last transport step, at this S
+            S = w @ (xw * stepper.flux()) + I_vals
         else:
-            def apply_map(S_trial: np.ndarray) -> np.ndarray:
-                r = model.interval_rates(age, S_trial)
-                return w @ (xw * _renewal_flux(values, r, age.ds)) + I_vals
-
-            result = damped_fixed_point(
-                apply_map, S, cfg.picard.tol, cfg.picard.max_iters, cfg.picard.damping
-            )
+            result = damped_fixed_point(coupling, S, opts.tol, opts.max_iters, opts.damping)
             if not result.converged:
-                raise PicardError(
-                    f"stimulation iteration stalled at t = {step * cfg.dt:.6g} "
-                    f"(residual {result.residual:.3e}); possible strong-interconnection "
-                    f"multiplicity",
-                    result.residual,
-                )
+                raise PicardError(f"stimulation iteration stalled at t = {step * cfg.dt:.6g} "
+                                  f"(residual {result.residual:.3e}); possible "
+                                  f"strong-interconnection multiplicity", result.residual)
             S = result.value
 
         # (iii): transport with S frozen; the injected flux is the activity
-        rates = model.interval_rates(age, S)
-        cfg.guard_positivity(age, float(rates.max()))
-        values, N = _advance(values, rates, lam, dt_eff, age.ds)
-        low = float(values.min())
-        if low < NEGATIVE_SENTINEL:
-            raise NegativeDensityError(
-                f"density reached {low:.3e} at t = {step * cfg.dt:.6g}"
-            )
+        N = stepper.advance(S)
 
         # (iv): exact exponential kernel relaxation with N frozen
         target = rule.gamma * rule.evaluate(N[:, None], N[None, :])
@@ -353,9 +348,9 @@ def nonlinear_run(
         if step % stride == 0 or step == n_steps or step in snap_steps:
             record(step, N, S)
         if observer is not None and (step % observe_stride == 0 or step == n_steps):
-            observer(step * cfg.dt, values, N, S)
+            observer(step * cfg.dt, stepper.values, N, S)
 
-    tail = float(values[-1].max() * age.weights[-1])
+    tail = float(stepper.values[-1].max() * age.weights[-1])
     if tail > 1e-8 * max(1.0, float(g.max())):
         warnings.warn(
             f"absorbing-node mass {tail:.3e} at run end; consider a larger s_max",

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from elapsednet import cli
 from elapsednet.cli import main
 from elapsednet.config import (
     ConfigError,
@@ -12,6 +13,7 @@ from elapsednet.config import (
     serialize_config,
     with_overrides,
 )
+from elapsednet.models import LearningRule
 from elapsednet.presets import PRESETS, get_preset, list_presets
 
 
@@ -43,6 +45,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("ns = lots\n")
         assert err.value.line == 1 and err.value.key == "ns"
+
+    @pytest.mark.parametrize("text, key", [
+        ("t_end = nan\n", "t_end"),
+        ("nx = 8\ngamma = inf\n", "gamma"),
+        ("epsilon_list = 0.4, -inf\n", "epsilon_list"),
+    ], ids=["nan", "inf", "tuple"])
+    def test_non_finite_float_reports_line_and_key(self, text, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.key == key and err.value.line == text.count("\n")
+        assert "finite" in str(err.value)
 
     def test_cfl_violation_names_values(self):
         with pytest.raises(ConfigError) as err:
@@ -213,3 +226,21 @@ class TestCLI:
         code = run_cli("run", "--config", str(cfg_path), "--out", str(out))
         assert code == 1
         assert "status = incomplete" in (out / "MANIFEST").read_text()
+
+    def test_nan_run_is_incomplete(self, tmp_path, monkeypatch):
+        # gamma = nan in a config file is now refused by the parser, so the
+        # NaN is put into the built experiment; the kernel then carries it
+        # into S and the density, and the run must not report success
+        build = cli.build_experiment
+
+        def build_with_nan_gain(cfg):
+            exp = build(cfg)
+            exp.rule = LearningRule(exp.rule.kind, float("nan"))
+            return exp
+
+        monkeypatch.setattr(cli, "build_experiment", build_with_nan_gain)
+        out = tmp_path / "out"
+        code = run_cli("run", "--preset", "g1i1c", "--t-end", "0.5", "--out", str(out))
+        assert code == 1
+        manifest = (out / "MANIFEST").read_text()
+        assert "status = incomplete" in manifest and "nan" in manifest
