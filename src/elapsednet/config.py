@@ -182,6 +182,11 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    for key, kind in _FIELD_TYPES.items():
+        value = getattr(cfg, key)
+        if kind in (float, tuple) and value is not None:
+            if not all(map(math.isfinite, value if kind is tuple else (value,))):
+                raise ConfigError(f"not a finite number: {value!r}", key=key)
     for key, choices in _CHOICES.items():
         if getattr(cfg, key) not in choices:
             raise ConfigError(f"must be one of {choices}", key=key)

@@ -11,6 +11,7 @@ frozen stimulation S and links S to the stationary activity via N = g F(S).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -196,41 +197,63 @@ class FiringRateModel:
         return seen
 
 
-def survival_quadrature_grid(model: FiringRateModel, S) -> AgeGrid:
-    """Internal grid resolving both the ramp width and the survival tail."""
-    sig = float(np.max(np.asarray(model.sigma(S), dtype=float)))
-    p_floor = max(model.lower_rate, 1e-12)
-    start = max(sig + (model.theta or 0.0), model.s_star or 0.0)
-    s_end = start + 32.0 / p_floor
-    h_target = min((model.theta or np.inf) / 8.0, 1.0 / (50.0 * max(model.p_inf, 1e-12)))
-    ns = int(min(max(np.ceil(s_end / h_target), 64), 4_000_000))
-    return AgeGrid(ns=ns, s_max=s_end)
+RAMP_NODES = 129  # quadrature nodes across the smooth rate's ramp
+_RAMP_UNIT = np.linspace(0.0, 1.0, RAMP_NODES)
 
 
 def survival_F(model: FiringRateModel, S, age: AgeGrid | None = None):
     """F(S) = (integral of exp(-hazard(s)) ds)^(-1), the stationary discharge rate.
 
-    Step kind uses the closed form 1 / (1/p_inf + sigma(S)); the smooth kind
-    accumulates the hazard by the trapezoid rule on `age` (or an internally
-    refined grid when none is given) and raises QuadratureDomainError when
-    the survival tail at s_max is above 1e-12.
+    Step kind uses the closed form 1 / (1/p_inf + sigma(S)).  For the smooth
+    kind the rate is the floor p_star 1_{s > s_star} below sigma and exactly
+    p_inf above sigma + theta, so with x = (sigma - s_star)+ (a negative s_star
+    counts as 0)
+
+        1/F = min(sigma, s_star) + (1 - e^{-p_star x}) / p_star
+              + int_sigma^{sigma+theta} e^{-H} ds + e^{-H(sigma+theta)} / p_inf,
+
+    and only the ramp term is a quadrature on RAMP_NODES nodes, with s_star
+    (and the next double, where the floor switches on) added when it falls
+    inside the ramp: H from the trapezoid rule at the nodes, and e^{-H}
+    integrated exactly for H linear between them, so a flat stretch of the
+    rate adds no error and F stays non-increasing in S where it is constant
+    (p_star = p_inf, s_star <= sigma).  Given `age`, the smooth kind
+    instead accumulates the hazard by the trapezoid rule on that grid and
+    raises QuadratureDomainError when the survival tail at s_max is above
+    1e-12.
     """
+    if model.p_inf <= 0:
+        raise ModelError("survival_F undefined for a vanishing rate p_inf")
     if model.kind == "step":
-        if model.p_inf <= 0:
-            raise ModelError("survival_F undefined for a vanishing step rate")
         sig = model.sigma(S)
         return 1.0 / (1.0 / model.p_inf + sig)
     S_arr = np.asarray(S, dtype=float)
-    if S_arr.ndim == 0:
-        grid = age if age is not None else survival_quadrature_grid(model, S)
-        hazard = model.cumulative_hazard(grid.nodes, float(S_arr))
+    if S_arr.ndim:
+        return np.array([survival_F(model, float(v), age) for v in S_arr])
+    if age is not None:
+        hazard = model.cumulative_hazard(age.nodes, float(S_arr))
         survival = np.exp(-hazard)
         if survival[-1] > 1e-12:
             raise QuadratureDomainError(
-                f"survival tail {survival[-1]:.3e} at s_max={grid.s_max} exceeds 1e-12"
+                f"survival tail {survival[-1]:.3e} at s_max={age.s_max} exceeds 1e-12"
             )
-        return 1.0 / grid.integrate(survival)
-    return np.array([survival_F(model, float(v), age) for v in S_arr])
+        return 1.0 / age.integrate(survival)
+    sig, theta, p_star, s_star = float(model.sigma(S_arr)), model.theta, model.p_star, model.s_star
+    s_on = max(s_star, 0.0)  # the floor holds on (s_on, sigma)
+    x = max(sig - s_on, 0.0)
+    below = min(sig, s_on) + (-math.expm1(-p_star * x) / p_star if p_star > 0 else x)
+    window = sig + theta * _RAMP_UNIT
+    split = sig <= s_star < sig + theta
+    if split:
+        window = np.sort(np.append(window, (s_star, np.nextafter(s_star, np.inf))))
+    hazard = p_star * x + model.cumulative_hazard(window, float(S_arr))
+    # e^{-H} integrated exactly between nodes with H linear there:
+    # h e^{-H_a} (1 - e^{-rise}) / rise, whose limit at rise = 0 the 1e-300 gives
+    rise = np.diff(hazard) + 1e-300
+    weights = -np.expm1(-rise) / rise
+    weights *= np.diff(window) if split else theta / (RAMP_NODES - 1)
+    survival = np.exp(-hazard)
+    return 1.0 / (below + float(survival[:-1] @ weights) + survival[-1] / model.p_inf)
 
 
 def lipschitz_F(model: FiringRateModel, S_lo: float, S_hi: float, n: int = 201) -> float:

@@ -398,21 +398,24 @@ def characteristics_oracle(
     equation for the boundary activity which is solved by Picard iteration
     to `picard_tol` on a time grid of spacing ds/refine.  Windows are kept
     shorter than 0.45/p_inf so the iteration is a guaranteed contraction.
+    The survivors' share of the boundary activity is one correlation per
+    column over all lags of a window, rescaled blockwise so that no
+    exponential of the hazard overflows or underflows to 0/0.
 
     The oracle never touches the upwind stepping; it is the independent
     reference for convergence tests.
     """
     age, space = n0.age, n0.space
-    delta = age.ds / refine
+    fine = AgeGrid(ns=age.ns * refine, s_max=age.s_max)
+    delta = fine.ds
     if isinstance(S_path, np.ndarray):
         S_path = [(np.asarray(S_path, dtype=float), float(t))]
     total = sum(d for _, d in S_path)
     if t > total + 1e-12:
         raise OracleError(f"requested t = {t} beyond the stimulation path length {total}")
 
-    fine_ns = age.ns * refine
-    s_fine = np.arange(fine_ns) * delta
-    values = np.zeros((fine_ns, space.nx))
+    s_fine = fine.nodes
+    values = np.zeros((fine.ns, space.nx))
     # seed the fine grid by linear interpolation of the coarse columns
     for ix in range(space.nx):
         values[:, ix] = np.interp(s_fine, age.nodes, n0.values[:, ix])
@@ -454,34 +457,23 @@ def _oracle_window(
     picard_tol: float,
     max_iters: int,
 ) -> np.ndarray:
-    """Advance the window-start field n_a by m fine steps at frozen S."""
+    """Advance the window-start field n_a by m fine steps at frozen S.
+
+    Every survival ratio E(s_i)/E(s_j) is formed as exp(H_j - H_i), so the
+    result stays finite where exp(-H) underflows.
+    """
     fine_ns, nx = n_a.shape
     hazard = model.cumulative_hazard(s_fine, S)
     if hazard.ndim == 1:
         hazard = np.broadcast_to(hazard[:, None], (fine_ns, nx)).copy()
-    E = np.exp(-hazard)
-    p_nodes = model.node_rates(_FineGrid(fine_ns, delta), S)
+    p_nodes = model.node_rates(AgeGrid(ns=fine_ns, s_max=fine_ns * delta), S)
     if p_nodes.ndim == 1:
         p_nodes = np.broadcast_to(p_nodes[:, None], (fine_ns, nx)).copy()
-    quad = np.full(fine_ns, delta)
-    quad[0] = quad[-1] = 0.5 * delta
-
-    # survivor part of the boundary integral, Q(tau_k) = int p n_a(s - tau) E-ratio;
-    # the integrand starts at s = tau_k, so its first sample gets trapezoid
-    # half-weight
-    Q = np.empty((m + 1, nx))
-    weighted = quad[:, None] * p_nodes
-    Q[0] = np.sum(weighted * n_a, axis=0)
-    for k in range(1, m + 1):
-        if k >= fine_ns:
-            Q[k] = 0.0
-            continue
-        shifted = np.zeros_like(n_a)
-        shifted[k:] = n_a[:-k] * (E[k:] / E[:-k])
-        Q[k] = np.sum(weighted * shifted, axis=0) - 0.5 * delta * p_nodes[k] * shifted[k]
+    Q = _survivor_sum(n_a, hazard, p_nodes, delta, m, model.p_inf)
 
     # reborn convolution kernel and the Volterra-Picard solve for N(tau)
-    kern = p_nodes * E  # (fine_ns, nx)
+    kern = np.exp(-hazard)
+    kern *= p_nodes  # (fine_ns, nx)
     N = Q.copy()
     for _ in range(max_iters):
         N_new = Q.copy()
@@ -502,23 +494,64 @@ def _oracle_window(
     new = np.zeros_like(n_a)
     mm = min(m, fine_ns)
     if m < fine_ns:
-        new[m:] = n_a[:-m] * (E[m:] / E[:-m])
-    new[:mm] = N[m - np.arange(mm)] * E[:mm]  # reborn: N(tau_m - s_i) e^{-H(s_i)}
+        survivors = np.subtract(hazard[:-m], hazard[m:], out=new[m:])
+        np.exp(survivors, out=survivors)
+        survivors *= n_a[:-m]
+    new[:mm] = N[m - np.arange(mm)] * np.exp(-hazard[:mm])  # reborn: N(tau_m - s_i) e^{-H(s_i)}
     return new
 
 
-@dataclass(frozen=True)
-class _FineGrid:
-    ns: int
-    ds_value: float
+# exp(+-EXP_SPAN) stays far inside the double range
+EXP_SPAN = 300.0
 
-    @property
-    def ds(self) -> float:
-        return self.ds_value
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.ns) * self.ds_value
+def _survivor_sum(
+    n_a: np.ndarray,
+    hazard: np.ndarray,
+    p_nodes: np.ndarray,
+    delta: float,
+    m: int,
+    p_inf: float,
+) -> np.ndarray:
+    """Survivor part Q(tau_k) = int p(s) n_a(s - tau_k) e^{H(s - tau_k) - H(s)} ds, k = 0..m.
+
+    With trapezoid weights w_i, Q_k = sum_j A_{j+k} B_j is a correlation of
+    A = w p e^{H_ref - H} with B = n_a e^{H - H_ref}: one `np.correlate` per
+    column gives every lag.  H rises by at most p_inf * delta per node, so
+    blocks of source rows j, each with H_ref taken at its first row, keep
+    both factors within exp(+-EXP_SPAN).  The integrand starts at s = tau_k,
+    so its first sample gets trapezoid half-weight.
+    """
+    fine_ns, nx = n_a.shape
+    kmax = min(m, fine_ns - 1)  # lags k >= fine_ns see no surviving mass
+    rise = p_inf * delta
+    if rise * (fine_ns + kmax) <= EXP_SPAN:
+        block = fine_ns
+    else:
+        block = max(1, int(EXP_SPAN / rise) - kmax)
+    Q = np.zeros((m + 1, nx))
+    for j0 in range(0, fine_ns, block):
+        j1 = min(j0 + block, fine_ns)
+        i1 = min(j1 + kmax, fine_ns)
+        h_ref = hazard[j0]
+        A = np.zeros((nx, j1 - j0 + kmax))  # zero past the last node
+        a = A[:, : i1 - j0].T
+        np.exp(np.subtract(h_ref, hazard[j0:i1], out=a), out=a)
+        a *= p_nodes[j0:i1]
+        a *= delta
+        if j0 == 0:
+            a[0] *= 0.5
+        if i1 == fine_ns:
+            a[-1] *= 0.5
+        B = np.subtract(hazard[j0:j1].T, h_ref[:, None], out=np.empty((nx, j1 - j0)))
+        np.exp(B, out=B)
+        B *= n_a[j0:j1].T
+        for ix in range(nx):
+            Q[: kmax + 1, ix] += np.correlate(A[ix], B[ix], "valid")
+    # in the order A_k B_0 is formed, so the last lag cancels exactly
+    k = np.arange(1, kmax + 1)
+    Q[k] -= np.exp(hazard[0] - hazard[k]) * p_nodes[k] * delta * 0.5 * n_a[0]
+    return Q
 
 
 # ---------------------------------------------------------------------------

@@ -244,3 +244,24 @@ class TestCLI:
         assert code == 1
         manifest = (out / "MANIFEST").read_text()
         assert "status = incomplete" in manifest and "nan" in manifest
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_flag_is_a_config_error(self, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli("run", "--preset", "g1i1c", "--t-end", value, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "key 't_end'" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"t_end": float("inf")}, "t_end"),
+    ({"gamma": float("nan")}, "gamma"),
+    ({"theta": float("-inf")}, "theta"),
+    ({"large_input_k": (1.0, float("inf"))}, "large_input_k"),
+], ids=["inf", "nan", "optional", "tuple"])
+def test_overrides_reject_non_finite_values(overrides, key):
+    with pytest.raises(ConfigError) as err:
+        with_overrides(parse_config(""), **overrides)
+    assert err.value.key == key and "finite" in str(err.value)
