@@ -28,9 +28,8 @@ from .grids import (
     kernel_apply,
     norms,
     scalar_norms,
-    spatial_integral,
 )
-from .limit import EpsilonStudy, LimitState, epsilon_study, inner_fixed_point, limit_run
+from .limit import EpsilonStudy, epsilon_study, inner_fixed_point, limit_run
 from .models import (
     FiringRateModel,
     InputModel,

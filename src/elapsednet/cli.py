@@ -17,6 +17,7 @@ if _threads:
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,42 +43,35 @@ from .stationary import StationaryProblem, default_multistart, solve_stationary
 SOLVER_ERRORS = (CFLError, NegativeDensityError, PicardError, GridError,
                  ModelError, ConfigError, ValueError, RuntimeError)
 
+# command-line flag (argparse dest) -> config key
+_FLAG_KEYS = {"t_end": "t_end", "epsilon": "epsilon", "save_every": "save_every",
+              "picard": "picard", "tol": "picard_tol", "out": "out"}
+
 
 def _load_config(args) -> ExperimentConfig:
     if args.preset and args.config:
         raise ConfigError("give either --preset or --config, not both")
     if args.preset:
-        cfg = get_preset(args.preset).config
+        try:
+            cfg = get_preset(args.preset).config
+        except KeyError as exc:
+            raise ConfigError(exc.args[0], key="preset") from None
     elif args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
     else:
         cfg = parse_config("")
-    overrides = {}
-    if getattr(args, "t_end", None) is not None:
-        overrides["t_end"] = args.t_end
-    if getattr(args, "epsilon", None) is not None:
-        overrides["epsilon"] = args.epsilon
-    if getattr(args, "save_every", None) is not None:
-        overrides["save_every"] = args.save_every
-    if getattr(args, "picard", None) is not None:
-        overrides["picard"] = args.picard
-    if getattr(args, "tol", None) is not None:
-        overrides["picard_tol"] = args.tol
-    if args.out is not None:
-        overrides["out"] = args.out
-    return with_overrides(cfg, **overrides)
+    return with_overrides(cfg, **{key: getattr(args, flag) for flag, key in _FLAG_KEYS.items()})
 
 
 def _sink_for(cfg, fallback: str) -> OutputSink:
     directory = cfg.out or cfg.preset or fallback
     sink = OutputSink(directory)
-    exp_meta = {
+    sink.metadata.update({
         "nx": str(cfg.nx), "ns": str(cfg.ns), "s_max": fmt(cfg.s_max),
         "dt": fmt(cfg.resolved_dt()), "epsilon": fmt(cfg.epsilon),
         "t_end": fmt(cfg.t_end), "preset": cfg.preset or "custom",
-    }
-    sink.metadata.update(exp_meta)
+    })
     return sink
 
 
@@ -93,94 +87,60 @@ def _certificate_lines(exp: Experiment) -> list[str]:
     return lines
 
 
-def cmd_run(args) -> int:
-    cfg = _load_config(args)
-    exp = build_experiment(cfg)
-    sink = _sink_for(cfg, "run_output")
-    try:
-        record = nonlinear_run(
-            exp.n0, exp.w0, exp.model, exp.rule, exp.input_model, exp.solver,
-            cfg.t_end, save_every=cfg.save_every,
-            snapshot_times=(0.0, cfg.t_end / 2.0, cfg.t_end),
-        )
-    except SOLVER_ERRORS as exc:
-        sink.write_manifest(status="incomplete", error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _record_lines(sink: OutputSink, record) -> list[str]:
     write_record(sink, record)
     metrics = homogenization_metrics(record)
-    summary = [
-        "[run]",
+    return [
         f"final ||w - <w>||_inf = {fmt(metrics.w_deviation[-1])}",
         f"final N spread = {fmt(metrics.N_deviation[-1])}",
         f"final S spread = {fmt(metrics.S_deviation[-1])}",
-        f"max |mass - g| = {fmt(float(np.abs(record.mass_series - exp.g).max()))}",
     ]
+
+
+_WROTE_FILES = "wrote {files} files to {directory}"
+
+
+def _solve_run(exp: Experiment, args):
+    cfg = exp.config
+    return nonlinear_run(
+        exp.n0, exp.w0, exp.model, exp.rule, exp.input_model, exp.solver,
+        cfg.t_end, save_every=cfg.save_every,
+        snapshot_times=(0.0, cfg.t_end / 2.0, cfg.t_end),
+    )
+
+
+def _report_run(exp: Experiment, record, sink: OutputSink):
+    summary = _record_lines(sink, record)
+    summary.append(f"max |mass - g| = {fmt(float(np.abs(record.mass_series - exp.g).max()))}")
     try:
-        ref = record.final_N()
-        dist = np.abs(record.N_series - ref).max(axis=1)
-        decay = fit_decay(record.times, dist)
-        summary.append(
-            f"activity decay rate = {fmt(decay.lambda_hat)} (r^2 = {fmt(decay.r_squared)})"
-        )
+        decay = fit_decay(record.times, np.abs(record.N_series - record.final_N()).max(axis=1))
+        summary.append(f"activity decay rate = {fmt(decay.lambda_hat)} "
+                       f"(r^2 = {fmt(decay.r_squared)})")
     except Exception:
         summary.append("activity decay rate = not fitted")
-    summary += _certificate_lines(exp)
-    sink.write_text("summary.txt", "\n".join(summary) + "\n")
-    sink.write_manifest()
-    print(f"wrote {len(sink.files) + 1} files to {sink.directory}")
-    return 0
+    return summary + _certificate_lines(exp), _WROTE_FILES
 
 
-def cmd_limit(args) -> int:
-    cfg = _load_config(args)
-    if cfg.system != "limit":
-        cfg = with_overrides(cfg, system="limit")
-    exp = build_experiment(cfg)
-    sink = _sink_for(cfg, "limit_output")
-    try:
-        record = limit_run(
-            exp.w0, exp.g, exp.model, exp.rule, exp.input_model, exp.age,
-            dt=cfg.resolved_dt(), t_end=cfg.t_end, save_every=cfg.save_every,
-            snapshot_times=(0.0, cfg.t_end),
-            inner_tol=cfg.picard_tol,
-        )
-    except SOLVER_ERRORS as exc:
-        sink.write_manifest(status="incomplete", error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    write_record(sink, record)
-    metrics = homogenization_metrics(record)
-    summary = [
-        "[limit]",
-        f"final ||w - <w>||_inf = {fmt(metrics.w_deviation[-1])}",
-        f"final N spread = {fmt(metrics.N_deviation[-1])}",
-        f"final S spread = {fmt(metrics.S_deviation[-1])}",
-    ]
-    summary += _certificate_lines(exp)
-    sink.write_text("summary.txt", "\n".join(summary) + "\n")
-    sink.write_manifest()
-    print(f"wrote {len(sink.files) + 1} files to {sink.directory}")
-    return 0
-
-
-def cmd_stationary(args) -> int:
-    cfg = _load_config(args)
-    exp = build_experiment(cfg)
-    sink = _sink_for(cfg, "stationary_output")
-    tol = args.tol if args.tol is not None else 1e-12
-    problem = StationaryProblem(
-        exp.space, exp.age, exp.g, exp.model, exp.rule,
-        exp.input_model.evaluate(exp.space),
+def _solve_limit(exp: Experiment, args):
+    cfg = exp.config
+    return limit_run(
+        exp.w0, exp.g, exp.model, exp.rule, exp.input_model, exp.age,
+        dt=cfg.resolved_dt(), t_end=cfg.t_end, save_every=cfg.save_every,
+        snapshot_times=(0.0, cfg.t_end), inner_tol=cfg.picard_tol,
     )
-    try:
-        states = solve_stationary(problem, tol=tol, multistart=default_multistart(problem))
-        if not states:
-            raise PicardError("no converged stationary state from any start", float("nan"))
-    except SOLVER_ERRORS as exc:
-        sink.write_manifest(status="incomplete", error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+
+
+def _solve_stationary(exp: Experiment, args):
+    problem = StationaryProblem(exp.space, exp.age, exp.g, exp.model, exp.rule,
+                                exp.input_model.evaluate(exp.space))
+    tol = args.tol if args.tol is not None else 1e-12
+    states = solve_stationary(problem, tol=tol, multistart=default_multistart(problem))
+    if not states:
+        raise PicardError("no converged stationary state from any start", float("nan"))
+    return states
+
+
+def _report_stationary(exp: Experiment, states, sink: OutputSink):
     state = states[0]
     rows = ([x, s, n] for x, s, n in zip(exp.space.nodes, state.S_star, state.N_star))
     sink.write_csv("stationary.csv", ["x", "S_star", "N_star"], rows)
@@ -190,33 +150,18 @@ def cmd_stationary(args) -> int:
     sink.write_csv("w_star.csv", ["x", "y", "w"], rows)
     cert = state.contraction_certificate
     summary = [
-        "[stationary]",
         f"residual = {fmt(state.residual)}",
         f"iterations = {state.iterations}",
         f"distinct fixed points found = {len(states)}",
         f"contraction certificate: bound = {fmt(cert.bound)} -> "
         + ("holds" if cert.holds else "outside proved regime"),
     ]
-    summary += _certificate_lines(exp)
-    sink.write_text("summary.txt", "\n".join(summary) + "\n")
-    sink.write_manifest()
-    print(f"stationary residual {fmt(state.residual)}; wrote to {sink.directory}")
-    return 0
+    return (summary + _certificate_lines(exp),
+            f"stationary residual {fmt(state.residual)}; wrote to {{directory}}")
 
 
-def cmd_doeblin(args) -> int:
-    cfg = _load_config(args)
-    exp = build_experiment(cfg)
-    sink = _sink_for(cfg, "doeblin_output")
-    I_vals = exp.input_model.evaluate(exp.space)
-    try:
-        report = doeblin_check(exp.n0, I_vals, exp.model)
-    except SOLVER_ERRORS as exc:
-        sink.write_manifest(status="incomplete", error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    summary = [
-        "[doeblin]",
+def _report_doeblin(exp: Experiment, report, sink: OutputSink):
+    return [
         f"alpha = {fmt(report.alpha)}",
         f"lambda_theory = {fmt(report.lambda_theory)}",
         f"t0 = {fmt(report.t0)}",
@@ -224,68 +169,97 @@ def cmd_doeblin(args) -> int:
         f"minorization margin = {fmt(report.minorization_margin)} "
         f"(tolerated down to {fmt(-2 * exp.age.ds)})",
         f"degenerate = {report.degenerate}",
-    ]
-    sink.write_text("summary.txt", "\n".join(summary) + "\n")
-    sink.write_manifest()
-    print("\n".join(summary))
-    return 0
+    ], None
 
 
-def cmd_epsilon_study(args) -> int:
-    cfg = _load_config(args)
-    exp = build_experiment(cfg)
-    sink = _sink_for(cfg, "epsilon_output")
-    try:
-        study = epsilon_study(
-            cfg.epsilon_list, exp.n0, exp.w0, exp.model, exp.rule,
-            exp.input_model, T=cfg.t_end,
-        )
-    except SOLVER_ERRORS as exc:
-        sink.write_manifest(status="incomplete", error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rows = ([e, dn, dN] for e, dn, dN in
-            zip(study.epsilons, study.dist_n, study.dist_N))
-    sink.write_csv("epsilon_distances.csv",
-                   ["epsilon", "dist_n_L1_tsx", "dist_N_L1_tx"], rows)
-    summary = [
-        "[epsilon-study]",
-        f"T = {fmt(study.T)}",
-        f"fitted order in epsilon = {fmt(study.fitted_order)}",
-    ]
-    sink.write_text("summary.txt", "\n".join(summary) + "\n")
-    sink.write_manifest()
-    print("\n".join(summary))
-    return 0
+def _solve_epsilon_study(exp: Experiment, args):
+    cfg = exp.config
+    return epsilon_study(cfg.epsilon_list, exp.n0, exp.w0, exp.model, exp.rule,
+                         exp.input_model, T=cfg.t_end)
 
 
-def cmd_large_input(args) -> int:
-    cfg = _load_config(args)
+def _report_epsilon_study(exp: Experiment, study, sink: OutputSink):
+    rows = zip(study.epsilons, study.dist_n, study.dist_N)
+    sink.write_csv("epsilon_distances.csv", ["epsilon", "dist_n_L1_tsx", "dist_N_L1_tx"], rows)
+    return [f"T = {fmt(study.T)}", f"fitted order in epsilon = {fmt(study.fitted_order)}"], None
+
+
+def _large_input_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.sigma == "identity":
         # the frozen large-stimulation rate must stay on the age grid
-        cfg = with_overrides(cfg, sigma="bounded",
-                             sigma_max=min(2.0, cfg.s_max / 4.0))
-    exp = build_experiment(cfg)
-    sink = _sink_for(cfg, "large_input_output")
-    try:
-        study = large_input_run(
-            cfg.large_input_k, exp.n0, exp.w0, exp.model, exp.rule,
-            exp.input_model, exp.solver, t_end=cfg.t_end,
-            sample_times=(cfg.t_end / 2.0, cfg.t_end),
-        )
-    except SOLVER_ERRORS as exc:
-        sink.write_manifest(status="incomplete", error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        cfg = with_overrides(cfg, sigma="bounded", sigma_max=min(2.0, cfg.s_max / 4.0))
+    return cfg
+
+
+def _solve_large_input(exp: Experiment, args):
+    cfg = exp.config
+    return large_input_run(
+        cfg.large_input_k, exp.n0, exp.w0, exp.model, exp.rule,
+        exp.input_model, exp.solver, t_end=cfg.t_end,
+        sample_times=(cfg.t_end / 2.0, cfg.t_end),
+    )
+
+
+def _report_large_input(exp: Experiment, study, sink: OutputSink):
     header = ["k"] + [f"dist_t{fmt(t)}" for t in study.sample_times]
     rows = ([k, *study.distances[i]] for i, k in enumerate(study.ks))
     sink.write_csv("large_input_distances.csv", header, rows)
-    summary = ["[large-input]"]
-    for i, k in enumerate(study.ks):
-        summary.append(f"k = {fmt(k)}: final distance = {fmt(study.distances[i, -1])}")
+    return [f"k = {fmt(k)}: final distance = {fmt(study.distances[i, -1])}"
+            for i, k in enumerate(study.ks)], None
+
+
+class Command(NamedTuple):
+    help: str
+    out: str  # output directory when neither --out nor a preset names one
+    solve: Callable  # (experiment, args) -> result; may raise SOLVER_ERRORS
+    # (experiment, result, sink) -> (summary lines, stdout template with {files}
+    # and {directory}, or None to echo the summary)
+    report: Callable
+    adjust: Callable | None = None  # config -> config, before the build
+
+
+COMMANDS = {
+    "run": Command("integrate the full density/kernel system", "run_output",
+                   _solve_run, _report_run),
+    "limit": Command("integrate the slow-learning limit system", "limit_output",
+                     _solve_limit,
+                     lambda exp, record, sink: (_record_lines(sink, record)
+                                                + _certificate_lines(exp), _WROTE_FILES),
+                     adjust=lambda cfg: with_overrides(cfg, system="limit")),
+    "stationary": Command("solve the stationary fixed point", "stationary_output",
+                          _solve_stationary, _report_stationary),
+    "doeblin": Command("check the minorization bound of the frozen dynamics", "doeblin_output",
+                       lambda exp, args: doeblin_check(
+                           exp.n0, exp.input_model.evaluate(exp.space), exp.model),
+                       _report_doeblin),
+    "epsilon-study": Command("distances to the limit system over epsilon", "epsilon_output",
+                             _solve_epsilon_study, _report_epsilon_study),
+    "large-input": Command("distances to the frozen-rate limit over k", "large_input_output",
+                           _solve_large_input, _report_large_input,
+                           adjust=_large_input_config),
+}
+
+
+def run_command(args) -> int:
+    """Load, adjust and build the experiment, solve, then write the summary and MANIFEST."""
+    command = COMMANDS[args.command]
+    cfg = _load_config(args)
+    if command.adjust is not None:
+        cfg = command.adjust(cfg)
+    exp = build_experiment(cfg)
+    sink = _sink_for(cfg, command.out)
+    try:
+        result = command.solve(exp, args)
+    except SOLVER_ERRORS as exc:
+        sink.write_manifest(status="incomplete", error=str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    lines, stdout = command.report(exp, result, sink)
+    summary = [f"[{args.command}]", *lines]
     sink.write_text("summary.txt", "\n".join(summary) + "\n")
     sink.write_manifest()
-    print("\n".join(summary))
+    print("\n".join(summary) if stdout is None
+          else stdout.format(files=len(sink.files) + 1, directory=sink.directory))
     return 0
 
 
@@ -300,16 +274,15 @@ def cmd_version(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_solver_flags: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", help="named experiment preset")
     parser.add_argument("--config", help="path to a key = value configuration file")
     parser.add_argument("--out", help="output directory")
-    if with_solver_flags:
-        parser.add_argument("--t-end", type=float, dest="t_end")
-        parser.add_argument("--epsilon", type=float)
-        parser.add_argument("--save-every", type=float, dest="save_every")
-        parser.add_argument("--picard", choices=("lagged", "iterate"))
-        parser.add_argument("--tol", type=float)
+    parser.add_argument("--t-end", type=float, dest="t_end")
+    parser.add_argument("--epsilon", type=float)
+    parser.add_argument("--save-every", type=float, dest="save_every")
+    parser.add_argument("--picard", choices=("lagged", "iterate"))
+    parser.add_argument("--tol", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,33 +292,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "with kernel learning",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, help_text in [
-        ("run", cmd_run, "integrate the full density/kernel system"),
-        ("limit", cmd_limit, "integrate the slow-learning limit system"),
-        ("stationary", cmd_stationary, "solve the stationary fixed point"),
-        ("doeblin", cmd_doeblin, "check the minorization bound of the frozen dynamics"),
-        ("epsilon-study", cmd_epsilon_study, "distances to the limit system over epsilon"),
-        ("large-input", cmd_large_input, "distances to the frozen-rate limit over k"),
-        ("presets", cmd_presets, "list the named presets"),
-        ("version", cmd_version, "print the package version"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        if name not in ("presets", "version"):
-            _add_common(p)
-        p.set_defaults(fn=fn)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        _add_common(p)
+        p.set_defaults(fn=run_command)
+    sub.add_parser("presets", help="list the named presets").set_defaults(fn=cmd_presets)
+    sub.add_parser("version", help="print the package version").set_defaults(fn=cmd_version)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
 

@@ -87,7 +87,7 @@ _CHOICES = {
     "rate": ("step", "smooth"),
     "sigma": ("identity", "bounded", "constant"),
     "rule": ("hebbian", "gaussian_sigmoid"),
-    "input": ("constant", "sin_squared", "scaled", "table"),
+    "input": ("constant", "sin_squared", "table"),
     "density": ("homogeneous", "gaussian_profile"),
     "kernel": ("gaussian", "constant", "zero"),
 }
@@ -121,20 +121,12 @@ def _parse_value(key: str, raw: str, target_type, line: int):
         raise ConfigError(str(exc), line=line, key=key) from None
 
 
-_FIELD_TYPES = {
-    "nx": int, "ns": int, "s_max": float, "dt": float, "t_end": float,
-    "save_every": float, "epsilon": float, "system": str,
-    "picard": str, "picard_tol": float, "picard_max_iters": int,
-    "picard_damping": float, "cfl_guard": bool,
-    "rate": str, "p_inf": float, "p_star": float, "s_star": float,
-    "sigma": str, "sigma_max": float, "theta": float,
-    "rule": str, "gamma": float,
-    "input": str, "input_amplitude": float, "input_scale": float,
-    "input_table": tuple,
-    "density": str, "kernel": str, "kernel_amplitude": float, "kernel_width": float,
-    "epsilon_list": tuple, "large_input_k": tuple,
-    "preset": str, "out": str,
-}
+# each key's base type from its annotation ("tuple[float, ...] | None" -> tuple);
+# a key annotated "| None" is optional
+_BASE_TYPES = {"int": int, "float": float, "bool": bool, "str": str, "tuple": tuple}
+_FIELD_TYPES = {f.name: _BASE_TYPES[f.type.removesuffix(" | None").split("[")[0]]
+                for f in fields(ExperimentConfig)}
+_OPTIONAL = {f.name for f in fields(ExperimentConfig) if f.type.endswith(" | None")}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -154,9 +146,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("duplicate key", line=line_no, key=key)
         values[key] = _parse_value(key, raw, _FIELD_TYPES[key], line_no)
     # None for a non-optional field means "use the default"
-    optional = {"dt", "p_star", "s_star", "sigma_max", "theta", "input_table",
-                "preset", "out"}
-    values = {k: v for k, v in values.items() if v is not None or k in optional}
+    values = {k: v for k, v in values.items() if v is not None or k in _OPTIONAL}
     cfg = ExperimentConfig(**values)
     validate_config(cfg)
     return cfg
@@ -266,31 +256,39 @@ def initial_kernel(cfg: ExperimentConfig, space: SpatialGrid) -> ConnectivityKer
     return ConnectivityKernel.constant(space, 0.0)
 
 
+def _built(key: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ModelError/ValueError re-raised naming the config key."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:  # ModelError is a ValueError
+        raise ConfigError(str(exc), key=key) from None
+
+
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
     validate_config(cfg)
     space = SpatialGrid(nx=cfg.nx)
     age = AgeGrid(ns=cfg.ns, s_max=cfg.s_max)
-    sigma = SigmaMap(cfg.sigma, sigma_max=cfg.sigma_max)
-    model = FiringRateModel(
+    sigma = _built("sigma_max", SigmaMap, cfg.sigma, sigma_max=cfg.sigma_max)
+    # past validate_config the rate model rejects only p_inf < 0 or a bad p_star/s_star
+    model = _built(
+        "p_inf" if cfg.p_inf < 0 else "p_star", FiringRateModel,
         kind=cfg.rate, p_inf=cfg.p_inf, sigma=sigma, p_star=cfg.p_star,
         s_star=cfg.s_star, theta=cfg.theta,
         dpdS_bound=(1.5 * cfg.p_inf * sigma.lipschitz / cfg.theta
                     if cfg.rate == "smooth" else None),
     )
     rule = LearningRule(cfg.rule, cfg.gamma)
-    input_model = InputModel(cfg.input, amplitude=cfg.input_amplitude,
-                             k=cfg.input_scale, table=cfg.input_table)
+    input_model = _built("input_amplitude", InputModel, cfg.input, amplitude=cfg.input_amplitude,
+                         k=cfg.input_scale, table=cfg.input_table)
     n0 = initial_density(cfg, age, space)
     w0 = initial_kernel(cfg, space)
-    solver = SolverConfig(
-        dt=cfg.resolved_dt(),
-        epsilon=cfg.epsilon,
-        picard=PicardOptions(cfg.picard, cfg.picard_tol, cfg.picard_max_iters,
-                             cfg.picard_damping),
-        cfl_guard=cfg.cfl_guard,
-    )
+    picard = _built("picard_tol", PicardOptions, cfg.picard, cfg.picard_tol,
+                    cfg.picard_max_iters, cfg.picard_damping)
+    # validate_config bounds dt from above only
+    solver = _built("dt", SolverConfig, dt=cfg.resolved_dt(), epsilon=cfg.epsilon,
+                    picard=picard, cfl_guard=cfg.cfl_guard)
 
-    I_vals = input_model.evaluate(space)
+    I_vals = _built("input_table", input_model.evaluate, space)
     g = n0.mass()
     lo, hi = stimulation_bounds(model, rule, float(w0.values.max()), float(g.max()), I_vals)
     threshold = model.sigma.sup_over(lo, hi)

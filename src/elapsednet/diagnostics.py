@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ConnectivityKernel, DensityField
-from .models import FiringRateModel, LearningRule, lipschitz_F, sup_F
+from .models import FiringRateModel, LearningRule, lipschitz_F, stimulation_bounds, sup_F
 from .renewal import RunRecord, characteristics_oracle
 
 ROUNDOFF_FLOOR = 1e-13
@@ -175,8 +175,7 @@ def regime_certificates(
     A = max(float(w0.values.max()), rule.gamma)
     omega = w0.space.length
     g_max = float(g.max())
-    S_lo = float(np.min(input_values))
-    S_hi = A * model.p_inf * g_max + float(np.max(input_values))
+    S_lo, S_hi = stimulation_bounds(model, rule, float(w0.values.max()), g_max, input_values)
     S_hi = max(S_hi, S_lo + 1e-9)
     lipF = lipschitz_F(model, S_lo, S_hi)
     supF = sup_F(model, S_lo, S_hi)

@@ -202,10 +202,6 @@ def age_integral(f: DensityField, weights: np.ndarray | None = None) -> np.ndarr
     return f.age.integrate(f.values, weights)
 
 
-def spatial_integral(space: SpatialGrid, values: np.ndarray) -> float:
-    return space.integrate(values)
-
-
 def kernel_apply(w: ConnectivityKernel, N: np.ndarray) -> np.ndarray:
     """Quadrature of w(x, y) N(y) over y, one value per x node."""
     N = np.asarray(N, dtype=float)

@@ -22,22 +22,9 @@ import numpy as np
 
 from .fixedpoint import PicardError, damped_fixed_point
 from .grids import AgeGrid, ConnectivityKernel, DensityField
-from .models import FiringRateModel, InputModel, LearningRule, lipschitz_F, survival_F
-from .renewal import PicardOptions, RunRecord, SolverConfig, nonlinear_run
-
-
-@dataclass
-class LimitState:
-    w: ConnectivityKernel
-    S: np.ndarray
-    N: np.ndarray
-    uniqueness_certificate: bool
-
-    def density(self, age: AgeGrid, model: FiringRateModel, g: np.ndarray) -> DensityField:
-        """Reconstruct the slaved age profile (discrete mass normalized to g)."""
-        hazard = model.cumulative_hazard(age.nodes, self.S)
-        field = DensityField(np.exp(-hazard) * self.N[None, :], age, self.w.space)
-        return field.normalize_mass(g)
+from .models import (FiringRateModel, InputModel, LearningRule, lipschitz_F,
+                     stimulation_bounds, survival_F)
+from .renewal import PicardOptions, Recorder, RunRecord, SolverConfig, nonlinear_run
 
 
 def inner_fixed_point(
@@ -93,9 +80,7 @@ def limit_run(
     space = w0.space
     I_vals = input_model.evaluate(space)
     g = np.asarray(g, dtype=float)
-    S_lo = float(I_vals.min())
-    S_hi = max(float(w0.values.max()), rule.gamma) * model.p_inf * float(g.max()) \
-        + float(I_vals.max())
+    S_lo, S_hi = stimulation_bounds(model, rule, float(w0.values.max()), float(g.max()), I_vals)
     if warn_certificate and not uniqueness_certificate(
         float(w0.values.max()), rule.gamma, model, S_lo, max(S_hi, S_lo + 1e-9)
     ):
@@ -104,78 +89,25 @@ def limit_run(
             "the damped inner iteration reports what it finds",
             stacklevel=2,
         )
-
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError(f"t_end = {t_end} is not a multiple of dt = {dt}")
-    if save_every is None:
-        save_every = t_end
-    stride = max(1, int(round(save_every / dt)))
-    snap_steps = {int(round(ts / dt)) for ts in snapshot_times}
-    snap_steps.add(n_steps)  # the final kernel is always kept
+    recorder = Recorder(space, age, dt, t_end, save_every, snapshot_times)
     decay = np.exp(-dt)
-    xw = space.weights
 
     w = w0.values.copy()
     S = inner_fixed_point(ConnectivityKernel(w, space), g, model, I_vals,
                           S_guess=None, tol=inner_tol, damping=0.5)
     N = g * np.asarray(survival_F(model, S))
-
-    times, N_rows, S_rows, mass_rows, wm_rows, wd_rows = [], [], [], [], [], []
-    w_snaps: dict[float, np.ndarray] = {}
-    n_snaps: dict[float, np.ndarray] = {}
-
-    def record(step: int) -> None:
-        t = step * dt
-        times.append(t)
-        N_rows.append(N.copy())
-        S_rows.append(S.copy())
-        mass_rows.append(g.copy())
-        mean = float(xw @ w @ xw) / space.length**2
-        wm_rows.append(mean)
-        wd_rows.append(float(np.abs(w - mean).max()))
-        if step in snap_steps:
-            w_snaps[t] = w.copy()
-
-    record(0)
+    recorder.save(0, N, S, g, w)
     wq_holder = ConnectivityKernel(w, space)
-    for step in range(1, n_steps + 1):
+    for step in range(1, recorder.n_steps + 1):
         target = rule.gamma * rule.evaluate(N[:, None], N[None, :])
         w = decay * w + (1.0 - decay) * target
         wq_holder.values = w
         S = inner_fixed_point(wq_holder, g, model, I_vals, S_guess=S,
                               tol=inner_tol, damping=1.0)
         N = g * np.asarray(survival_F(model, S))
-        if step % stride == 0 or step == n_steps or step in snap_steps:
-            record(step)
-
-    return RunRecord(
-        times=np.asarray(times),
-        N_series=np.asarray(N_rows),
-        S_series=np.asarray(S_rows),
-        mass_series=np.asarray(mass_rows),
-        w_mean_series=np.asarray(wm_rows),
-        w_dev_series=np.asarray(wd_rows),
-        w_snapshots=w_snaps,
-        n_snapshots=n_snaps,
-        space=space,
-        age=age,
-    )
-
-
-def final_limit_state(
-    record: RunRecord, w0_max: float, rule: LearningRule, model: FiringRateModel
-) -> LimitState:
-    S = record.final_S()
-    N = record.final_N()
-    w_final = record.w_snapshot_at(record.times[-1])
-    S_lo, S_hi = float(S.min()), float(S.max()) + 1e-9
-    return LimitState(
-        w=ConnectivityKernel(w_final, record.space),
-        S=S,
-        N=N,
-        uniqueness_certificate=uniqueness_certificate(w0_max, rule.gamma, model, S_lo, S_hi),
-    )
+        if recorder.due(step):
+            recorder.save(step, N, S, g, w)
+    return recorder.record()
 
 
 @dataclass

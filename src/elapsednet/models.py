@@ -241,7 +241,8 @@ def survival_F(model: FiringRateModel, S, age: AgeGrid | None = None):
     sig, theta, p_star, s_star = float(model.sigma(S_arr)), model.theta, model.p_star, model.s_star
     s_on = max(s_star, 0.0)  # the floor holds on (s_on, sigma)
     x = max(sig - s_on, 0.0)
-    below = min(sig, s_on) + (-math.expm1(-p_star * x) / p_star if p_star > 0 else x)
+    z = p_star * x  # ratio first: (1 - e^{-z}) / p_star fails once z underflows
+    below = min(sig, s_on) + (x * (-math.expm1(-z) / z) if z > 0 else x)
     window = sig + theta * _RAMP_UNIT
     split = sig <= s_star < sig + theta
     if split:
@@ -317,7 +318,6 @@ class InputModel:
     """External input I(x) = k * amplitude * profile(x), constant in time.
 
     kinds: 'constant' (profile 1), 'sin_squared' (profile sin^2(2 pi x)),
-    'scaled' (constant rescaled by k >= 1, for large-input studies),
     'table' (given per-node values times k).
     """
 
@@ -327,13 +327,11 @@ class InputModel:
     table: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "sin_squared", "scaled", "table"):
+        if self.kind not in ("constant", "sin_squared", "table"):
             raise ModelError(f"unknown input kind: {self.kind!r}")
-        if self.kind == "scaled" and self.k < 1.0:
-            raise ModelError(f"scaled input needs k >= 1, got {self.k}")
         if self.kind == "table" and self.table is None:
             raise ModelError("table input needs explicit values")
-        if self.kind in ("constant", "sin_squared", "scaled") and self.amplitude < 0:
+        if self.kind != "table" and self.amplitude < 0:
             raise ModelError(f"built-in inputs must be nonnegative, got {self.amplitude}")
 
     def evaluate(self, space: SpatialGrid, t: float = 0.0) -> np.ndarray:

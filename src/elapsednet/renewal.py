@@ -140,6 +140,41 @@ class RunRecord:
         return self._lookup(self.n_snapshots, t)
 
 
+class Recorder:
+    """Rows every `save_every` (default t_end), at `snapshot_times` and at t_end;
+    kernel (and density, if given) snapshots at the snapshot times and t_end."""
+
+    def __init__(self, space: SpatialGrid, age: AgeGrid, dt: float, t_end: float,
+                 save_every: float | None = None, snapshot_times: tuple[float, ...] = ()):
+        self.n_steps = int(round(t_end / dt))
+        if abs(self.n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+            raise ValueError(f"t_end = {t_end} is not a multiple of dt = {dt}")
+        self.space, self.age, self.dt = space, age, dt
+        self.stride = max(1, int(round((t_end if save_every is None else save_every) / dt)))
+        self.snap_steps = {int(round(ts / dt)) for ts in snapshot_times} | {self.n_steps}
+        self.series: tuple[list, ...] = ([], [], [], [], [], [])  # t, N, S, mass, <w>, |w - <w>|
+        self.w_snaps, self.n_snaps = {}, {}  # t -> kernel, t -> density
+
+    def due(self, step: int) -> bool:
+        return step % self.stride == 0 or step == self.n_steps or step in self.snap_steps
+
+    def save(self, step: int, N: np.ndarray, S: np.ndarray, mass: np.ndarray,
+             w: np.ndarray, n: np.ndarray | None = None) -> None:
+        t = step * self.dt
+        kernel = ConnectivityKernel(w, self.space)
+        values = (t, N.copy(), S.copy(), mass.copy(), kernel.mean(), kernel.deviation_from_mean())
+        for series, value in zip(self.series, values):
+            series.append(value)
+        if step in self.snap_steps:
+            self.w_snaps[t] = w.copy()
+            if n is not None:
+                self.n_snaps[t] = n.copy()
+
+    def record(self) -> RunRecord:
+        return RunRecord(*map(np.asarray, self.series), self.w_snaps, self.n_snaps,
+                         self.space, self.age)
+
+
 class Stepper:
     """Explicit upwind steps of eps dn/dt + dn/ds + p(s, S) n = 0 on a copy of n.
 
@@ -275,13 +310,8 @@ def nonlinear_run(
             f"{threshold:.6g}"
         )
     rule.warn_if_unnormalized(model.p_inf * float(g.max()))
-
-    n_steps = int(round(t_end / cfg.dt))
-    if abs(n_steps * cfg.dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError(f"t_end = {t_end} is not a multiple of dt = {cfg.dt}")
-    if save_every is None:
-        save_every = t_end
-    stride = max(1, int(round(save_every / cfg.dt)))
+    recorder = Recorder(space, age, cfg.dt, t_end, save_every, snapshot_times)
+    n_steps = recorder.n_steps
 
     w = w0.values.copy()
     decay = np.exp(-cfg.dt)
@@ -297,30 +327,11 @@ def nonlinear_run(
     if not result.converged:
         warnings.warn(f"initial stimulation fixed point stopped at residual "
                       f"{result.residual:.3e}; using a single lagged evaluation", stacklevel=2)
-    snap_steps = {int(round(ts / cfg.dt)) for ts in snapshot_times}
-    snap_steps.add(n_steps)  # the final kernel is always kept
-
-    times, N_rows, S_rows, mass_rows, wm_rows, wd_rows = [], [], [], [], [], []
-    w_snaps: dict[float, np.ndarray] = {}
-    n_snaps: dict[float, np.ndarray] = {}
-
-    def record(step: int, N_now: np.ndarray, S_now: np.ndarray) -> None:
-        t = step * cfg.dt
-        times.append(t)
-        N_rows.append(N_now.copy())
-        S_rows.append(S_now.copy())
-        mass_rows.append(age.integrate(stepper.values))
-        kernel = ConnectivityKernel(w, space)
-        wm_rows.append(kernel.mean())
-        wd_rows.append(kernel.deviation_from_mean())
-        if step in snap_steps:
-            w_snaps[t] = w.copy()
-            if record_density:
-                n_snaps[t] = stepper.values.copy()
 
     stepper.set_rates(S)
     N = stepper.flux()
-    record(0, N, S)
+    recorder.save(0, N, S, age.integrate(stepper.values), w,
+                  stepper.values if record_density else None)
     if observer is not None:
         observer(0.0, stepper.values, N, S)
 
@@ -345,8 +356,9 @@ def nonlinear_run(
         target = rule.gamma * rule.evaluate(N[:, None], N[None, :])
         w = decay * w + (1.0 - decay) * target
 
-        if step % stride == 0 or step == n_steps or step in snap_steps:
-            record(step, N, S)
+        if recorder.due(step):  # the mass is integrated on recorded steps only
+            recorder.save(step, N, S, age.integrate(stepper.values), w,
+                          stepper.values if record_density else None)
         if observer is not None and (step % observe_stride == 0 or step == n_steps):
             observer(step * cfg.dt, stepper.values, N, S)
 
@@ -356,19 +368,7 @@ def nonlinear_run(
             f"absorbing-node mass {tail:.3e} at run end; consider a larger s_max",
             stacklevel=2,
         )
-
-    return RunRecord(
-        times=np.asarray(times),
-        N_series=np.asarray(N_rows),
-        S_series=np.asarray(S_rows),
-        mass_series=np.asarray(mass_rows),
-        w_mean_series=np.asarray(wm_rows),
-        w_dev_series=np.asarray(wd_rows),
-        w_snapshots=w_snaps,
-        n_snapshots=n_snaps,
-        space=space,
-        age=age,
-    )
+    return recorder.record()
 
 
 # ---------------------------------------------------------------------------

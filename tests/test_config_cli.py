@@ -76,10 +76,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("rule = oja\n")
 
-    def test_scaled_input(self):
-        cfg = parse_config("input = scaled\ninput_scale = 5.0\n")
-        exp = build_experiment(cfg)
-        np.testing.assert_allclose(exp.input_model.evaluate(exp.space), 5.0)
+    def test_scaled_input_is_refused(self, tmp_path, capsys):
+        # 'scaled' was 'constant' with input_scale; the kind is gone
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("input = scaled\ninput_scale = 5.0\n")
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 2
+        assert "key 'input'" in capsys.readouterr().err
 
     def test_dt_auto_scales_with_epsilon(self):
         cfg = parse_config("epsilon = 0.1\n")
@@ -244,6 +246,55 @@ class TestCLI:
         assert code == 1
         manifest = (out / "MANIFEST").read_text()
         assert "status = incomplete" in manifest and "nan" in manifest
+
+    @pytest.mark.parametrize("flags, text, key", [
+        (("--preset", "g1i1c", "--tol", "0"), None, "picard_tol"),
+        (("--preset", "g1i1c", "--tol", "-1"), None, "picard_tol"),
+        ((), "input_amplitude = -1\n", "input_amplitude"),
+        ((), "p_star = 2.0\n", "p_star"),
+        ((), "sigma = bounded\nsigma_max = -1\n", "sigma_max"),
+        ((), "p_inf = -1\n", "p_inf"),
+        ((), "dt = -0.001\n", "dt"),
+        ((), "input = table\ninput_table = 1, 2\n", "input_table"),
+        (("--preset", "nope"), None, "preset"),
+    ], ids=["tol0", "tol-1", "amplitude", "p_star", "sigma_max", "p_inf", "dt", "table",
+            "preset"])
+    def test_model_rejections_are_config_errors(self, flags, text, key, tmp_path, capsys):
+        if text is not None:
+            cfg_path = tmp_path / "exp.cfg"
+            cfg_path.write_text(text)
+            flags = ("--config", str(cfg_path))
+        out = tmp_path / "out"
+        code = run_cli("run", *flags, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"key {key!r}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_key_error_from_a_bug_is_not_a_config_error(self, monkeypatch):
+        def broken_build(cfg):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "build_experiment", broken_build)
+        with pytest.raises(KeyError):
+            run_cli("run", "--preset", "g1i1c")
+
+    @pytest.mark.filterwarnings("ignore:absorbing-node mass")
+    @pytest.mark.filterwarnings("ignore:initial density carries")
+    @pytest.mark.parametrize("command, csv", [
+        ("epsilon-study", "epsilon_distances.csv"),
+        ("large-input", "large_input_distances.csv"),
+    ])
+    def test_study_subcommands(self, command, csv, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("nx = 8\nns = 200\ns_max = 10\nkernel_amplitude = 2\n"
+                            "t_end = 0.25\nepsilon_list = 0.4, 0.2\nlarge_input_k = 1, 10\n")
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(cfg_path), "--out", str(out)) == 0
+        manifest = (out / "MANIFEST").read_text()
+        assert "status = complete" in manifest
+        assert f"file = {csv}" in manifest and "file = summary.txt" in manifest
+        assert (out / "summary.txt").read_text().startswith(f"[{command}]\n")
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_flag_is_a_config_error(self, value, tmp_path, capsys):

@@ -223,10 +223,6 @@ class TestInputModel:
         I = InputModel("constant", amplitude=1.5).scaled_by(4.0).evaluate(space)
         np.testing.assert_allclose(I, 6.0)
 
-    def test_scaled_requires_k_at_least_one(self):
-        with pytest.raises(ModelError):
-            InputModel("scaled", amplitude=1.0, k=0.5)
-
     def test_table(self):
         space = SpatialGrid(nx=3)
         I = InputModel("table", table=(1.0, 2.0, 3.0)).evaluate(space)

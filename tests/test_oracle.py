@@ -4,7 +4,7 @@ where exp(-hazard) underflows, and monotonicity."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -42,26 +42,40 @@ def rate_models(draw, p_inf):
                            s_star=draw(st.floats(0.0, 5.0)), theta=draw(st.floats(0.05, 2.0)))
 
 
-@settings(deadline=None)
-@given(data=st.data())
-def test_survivor_sum_matches_shifted_copy_loop(data):
-    fine_ns, nx = data.draw(st.integers(2, 120)), data.draw(st.integers(1, 3))
-    s_max = data.draw(st.floats(0.5, 10.0))
-    fine = AgeGrid(ns=fine_ns, s_max=s_max)
+# subnormal values keep no relative precision, so comparisons get this absolute floor
+UNDERFLOW_FLOOR = 1e-290
+
+
+@st.composite
+def survivor_cases(draw):
+    fine_ns, nx = draw(st.integers(2, 120)), draw(st.integers(1, 3))
+    s_max = draw(st.floats(0.5, 10.0))
     # the reference divides exp(-H); p_inf * s_max <= 700 keeps it normal,
     # and above 300 the correlation runs in several rescaled blocks
-    p_inf = data.draw(st.floats(0.0, 700.0)) / s_max
-    model = data.draw(rate_models(p_inf))
-    S = np.array(data.draw(st.lists(st.floats(-1.0, s_max + 1.0), min_size=nx, max_size=nx)))
-    n_a = data.draw(hnp.arrays(np.float64, (fine_ns, nx),
-                               elements=st.floats(0.0, 10.0, allow_subnormal=False)))
-    m = data.draw(st.integers(1, fine_ns + 5))
+    p_inf = draw(st.floats(0.0, 700.0)) / s_max
+    model = draw(rate_models(p_inf))
+    S = np.array(draw(st.lists(st.floats(-1.0, s_max + 1.0), min_size=nx, max_size=nx)))
+    n_a = draw(hnp.arrays(np.float64, (fine_ns, nx),
+                          elements=st.floats(0.0, 10.0, allow_subnormal=False)))
+    m = draw(st.integers(1, fine_ns + 5))
+    return AgeGrid(ns=fine_ns, s_max=s_max), model, S, n_a, m
+
+
+@settings(deadline=None)
+@given(case=survivor_cases())
+# a subnormal p_inf: Q and the reference differ by one subnormal step, 5e-324
+@example(case=(AgeGrid(ns=3, s_max=1.0),
+               FiringRateModel(kind="smooth", p_inf=2.225073858507e-311,
+                               sigma=SigmaMap("identity"), p_star=0.0, s_star=0.0, theta=1.0),
+               np.array([0.0]), np.ones((3, 1)), 1))
+def test_survivor_sum_matches_shifted_copy_loop(case):
+    fine, model, S, n_a, m = case
     hazard = model.cumulative_hazard(fine.nodes, S)
     p_nodes = model.node_rates(fine, S)
-    Q = _survivor_sum(n_a, hazard, p_nodes, fine.ds, m, p_inf)
+    Q = _survivor_sum(n_a, hazard, p_nodes, fine.ds, m, model.p_inf)
     ref = shifted_copy_sum(n_a, hazard, p_nodes, fine.ds, m)
-    assert Q.shape == (m + 1, nx)
-    assert np.abs(Q - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert Q.shape == (m + 1, S.size)
+    assert np.abs(Q - ref).max() <= max(1e-13 * np.abs(ref).max(), UNDERFLOW_FLOOR)
 
 
 def test_oracle_finite_where_survival_underflows():
@@ -110,8 +124,17 @@ def smooth_cases(draw):
     return model, S
 
 
+def floored_smooth_model(p_star):
+    return FiringRateModel(kind="smooth", p_inf=1.0, sigma=SigmaMap("identity"),
+                           p_star=p_star, s_star=0.0, theta=1.0)
+
+
 @settings(deadline=None, max_examples=60)
 @given(case=smooth_cases())
+# a subnormal p_star must keep the floor term (sigma - s_star): the product
+# p_star * x underflows, so (1 - e^{-p_star x}) / p_star cannot be formed directly
+@example(case=(floored_smooth_model(5e-324), 0.5))
+@example(case=(floored_smooth_model(5e-324), 0.75))
 def test_smooth_survival_F_matches_fine_quadrature(case):
     model, S = case
     F = survival_F(model, S)
