@@ -35,7 +35,7 @@ from .fixedpoint import PicardError
 from .grids import GridError
 from .limit import epsilon_study, limit_run
 from .models import ModelError
-from .output import OutputSink, fmt, write_record
+from .output import OutputSink, fmt, kernel_table, write_record
 from .presets import get_preset, list_presets
 from .renewal import CFLError, NegativeDensityError, large_input_run, nonlinear_run
 from .stationary import StationaryProblem, default_multistart, solve_stationary
@@ -57,8 +57,13 @@ def _load_config(args) -> ExperimentConfig:
         except KeyError as exc:
             raise ConfigError(exc.args[0], key="preset") from None
     elif args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.config!r}: {exc.strerror}",
+                              key="config") from None
+        cfg = parse_config(text)
     else:
         cfg = parse_config("")
     return with_overrides(cfg, **{key: getattr(args, flag) for flag, key in _FLAG_KEYS.items()})
@@ -142,12 +147,10 @@ def _solve_stationary(exp: Experiment, args):
 
 def _report_stationary(exp: Experiment, states, sink: OutputSink):
     state = states[0]
-    rows = ([x, s, n] for x, s, n in zip(exp.space.nodes, state.S_star, state.N_star))
-    sink.write_csv("stationary.csv", ["x", "S_star", "N_star"], rows)
-    w = state.w_star.values
-    rows = ([x, y, w[i, j]] for i, x in enumerate(exp.space.nodes)
-            for j, y in enumerate(exp.space.nodes))
-    sink.write_csv("w_star.csv", ["x", "y", "w"], rows)
+    sink.write_csv("stationary.csv", ["x", "S_star", "N_star"],
+                   np.column_stack((exp.space.nodes, state.S_star, state.N_star)))
+    sink.write_csv("w_star.csv", ["x", "y", "w"],
+                   kernel_table(exp.space.nodes, state.w_star.values))
     cert = state.contraction_certificate
     summary = [
         f"residual = {fmt(state.residual)}",
@@ -179,8 +182,8 @@ def _solve_epsilon_study(exp: Experiment, args):
 
 
 def _report_epsilon_study(exp: Experiment, study, sink: OutputSink):
-    rows = zip(study.epsilons, study.dist_n, study.dist_N)
-    sink.write_csv("epsilon_distances.csv", ["epsilon", "dist_n_L1_tsx", "dist_N_L1_tx"], rows)
+    sink.write_csv("epsilon_distances.csv", ["epsilon", "dist_n_L1_tsx", "dist_N_L1_tx"],
+                   np.column_stack((study.epsilons, study.dist_n, study.dist_N)))
     return [f"T = {fmt(study.T)}", f"fitted order in epsilon = {fmt(study.fitted_order)}"], None
 
 
@@ -202,8 +205,8 @@ def _solve_large_input(exp: Experiment, args):
 
 def _report_large_input(exp: Experiment, study, sink: OutputSink):
     header = ["k"] + [f"dist_t{fmt(t)}" for t in study.sample_times]
-    rows = ([k, *study.distances[i]] for i, k in enumerate(study.ks))
-    sink.write_csv("large_input_distances.csv", header, rows)
+    sink.write_csv("large_input_distances.csv", header,
+                   np.column_stack((study.ks, study.distances)))
     return [f"k = {fmt(k)}: final distance = {fmt(study.distances[i, -1])}"
             for i, k in enumerate(study.ks)], None
 

@@ -282,7 +282,10 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
                          k=cfg.input_scale, table=cfg.input_table)
     n0 = initial_density(cfg, age, space)
     w0 = initial_kernel(cfg, space)
-    picard = _built("picard_tol", PicardOptions, cfg.picard, cfg.picard_tol,
+    # in the order PicardOptions checks them
+    picard_key = ("picard_tol" if cfg.picard_tol <= 0 else
+                  "picard_max_iters" if cfg.picard_max_iters < 1 else "picard_damping")
+    picard = _built(picard_key, PicardOptions, cfg.picard, cfg.picard_tol,
                     cfg.picard_max_iters, cfg.picard_damping)
     # validate_config bounds dt from above only
     solver = _built("dt", SolverConfig, dt=cfg.resolved_dt(), epsilon=cfg.epsilon,

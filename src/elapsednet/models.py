@@ -257,18 +257,19 @@ def survival_F(model: FiringRateModel, S, age: AgeGrid | None = None):
     return 1.0 / (below + float(survival[:-1] @ weights) + survival[-1] / model.p_inf)
 
 
-def lipschitz_F(model: FiringRateModel, S_lo: float, S_hi: float, n: int = 201) -> float:
-    """Conservative sampled bound on |F'| over [S_lo, S_hi] (max x 1.05)."""
+def F_bounds(model: FiringRateModel, S_lo: float, S_hi: float,
+             n: int = 201) -> tuple[float, float]:
+    """Sampled bounds (sup |F'| x 1.05, sup F) over [S_lo, S_hi] from one sample of F."""
     S_hi = max(S_hi, S_lo + 1e-9)  # degenerate band: probe a point neighborhood
     S_vals = np.linspace(S_lo, S_hi, n)
     F_vals = np.asarray(survival_F(model, S_vals))
     slopes = np.abs(np.diff(F_vals) / np.diff(S_vals))
-    return float(slopes.max() * 1.05)
+    return float(slopes.max() * 1.05), float(F_vals.max())
 
 
-def sup_F(model: FiringRateModel, S_lo: float, S_hi: float, n: int = 201) -> float:
-    S_vals = np.linspace(S_lo, S_hi, n)
-    return float(np.max(np.asarray(survival_F(model, S_vals))))
+def lipschitz_F(model: FiringRateModel, S_lo: float, S_hi: float, n: int = 201) -> float:
+    """Conservative sampled bound on |F'| over [S_lo, S_hi] (max x 1.05)."""
+    return F_bounds(model, S_lo, S_hi, n)[0]
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,13 @@ def fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def format_rows(table, sep: str = ",") -> str:
+    """Rows of a 2-D table as lines of `sep`-joined values, each value as `fmt` writes it."""
+    table = np.asarray(table, dtype=float)
+    line = sep.join(["%.17g"] * table.shape[-1]) + "\n"
+    return "".join([line % tuple(row.tolist()) for row in table])
+
+
 @dataclass
 class OutputSink:
     directory: str
@@ -38,11 +45,8 @@ class OutputSink:
             fh.write(text)
         self.files.append(name)
 
-    def write_csv(self, name: str, header: list[str], rows) -> None:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(fmt(v) for v in row))
-        self.write_text(name, "\n".join(lines) + "\n")
+    def write_csv(self, name: str, header: list[str], table) -> None:
+        self.write_text(name, ",".join(header) + "\n" + format_rows(table))
 
     def write_manifest(self, status: str = "complete", error: str | None = None) -> None:
         lines = ["# elapsednet output manifest", f"status = {status}"]
@@ -57,47 +61,46 @@ class OutputSink:
             fh.write(text)
 
 
-def series_rows(times: np.ndarray, table: np.ndarray):
-    for t, row in zip(times, table):
-        yield [t, *row]
+def kernel_table(x_nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows (x_i, x_j, w_ij), j running fastest."""
+    nx = len(x_nodes)
+    return np.column_stack((np.repeat(x_nodes, nx), np.tile(x_nodes, nx), w.ravel()))
 
 
 def write_record(sink: OutputSink, record: RunRecord) -> None:
     """Emit the standard per-run files for a RunRecord."""
-    x_nodes = record.space.nodes
+    x_nodes, times = record.space.nodes, record.times
     header = ["t"] + [fmt(x) for x in x_nodes]
-    sink.write_csv("N.csv", header, series_rows(record.times, record.N_series))
-    sink.write_csv("S.csv", header, series_rows(record.times, record.S_series))
-    sink.write_csv("mass.csv", header, series_rows(record.times, record.mass_series))
-    sink.write_csv(
-        "kernel_stats.csv",
-        ["t", "w_mean", "w_sup_deviation"],
-        ([t, m, d] for t, m, d in
-         zip(record.times, record.w_mean_series, record.w_dev_series)),
-    )
+    sink.write_csv("N.csv", header, np.column_stack((times, record.N_series)))
+    sink.write_csv("S.csv", header, np.column_stack((times, record.S_series)))
+    sink.write_csv("mass.csv", header, np.column_stack((times, record.mass_series)))
+    sink.write_csv("kernel_stats.csv", ["t", "w_mean", "w_sup_deviation"],
+                   np.column_stack((times, record.w_mean_series, record.w_dev_series)))
     for t in sorted(record.w_snapshots):
-        w = record.w_snapshots[t]
-        rows = ([x, y, w[i, j]]
-                for i, x in enumerate(x_nodes) for j, y in enumerate(x_nodes))
-        sink.write_csv(f"w_snapshot_t{fmt(t)}.csv", ["x", "y", "w"], rows)
+        sink.write_csv(f"w_snapshot_t{fmt(t)}.csv", ["x", "y", "w"],
+                       kernel_table(x_nodes, record.w_snapshots[t]))
 
-    _write_heatmap(sink, "N_heatmap", record.times, x_nodes, record.N_series,
-                   "activity N(t, x)")
-    _write_heatmap(sink, "S_heatmap", record.times, x_nodes, record.S_series,
-                   "stimulation S(t, x)")
+    _write_heatmap(sink, "N_heatmap", times, x_nodes, record.N_series, "activity N(t, x)")
+    _write_heatmap(sink, "S_heatmap", times, x_nodes, record.S_series, "stimulation S(t, x)")
     _write_deviation_trace(sink, record)
     if record.w_snapshots:
         t_last = max(record.w_snapshots)
         _write_kernel_panel(sink, x_nodes, record.w_snapshots[t_last], t_last)
 
 
+def format_blocks(outer, inner, table) -> str:
+    """Lines 'outer_b inner_j table_bj', a blank line after each block b (a
+    lone newline for no blocks); one %-format per block."""
+    table = np.asarray(table, dtype=float)
+    nb, nj = table.shape
+    block = "%.17g %.17g %.17g\n" * nj + "\n"
+    lines = np.stack(np.broadcast_arrays(np.asarray(outer, dtype=float)[:, None], inner, table),
+                     axis=-1).reshape(nb, 3 * nj)
+    return "".join([block % tuple(row.tolist()) for row in lines]) or "\n"
+
+
 def _write_heatmap(sink: OutputSink, stem: str, times, x_nodes, table, title: str) -> None:
-    lines = []
-    for t, row in zip(times, table):
-        for x, v in zip(x_nodes, row):
-            lines.append(f"{fmt(t)} {fmt(x)} {fmt(v)}")
-        lines.append("")
-    sink.write_text(f"{stem}.dat", "\n".join(lines) + "\n")
+    sink.write_text(f"{stem}.dat", format_blocks(times, x_nodes, table))
     sink.write_text(
         f"{stem}.gp",
         "set view map\n"
@@ -123,12 +126,7 @@ def _write_deviation_trace(sink: OutputSink, record: RunRecord) -> None:
 
 
 def _write_kernel_panel(sink: OutputSink, x_nodes, w: np.ndarray, t: float) -> None:
-    lines = []
-    for i, x in enumerate(x_nodes):
-        for j, y in enumerate(x_nodes):
-            lines.append(f"{fmt(x)} {fmt(y)} {fmt(w[i, j])}")
-        lines.append("")
-    sink.write_text("kernel_final.dat", "\n".join(lines) + "\n")
+    sink.write_text("kernel_final.dat", format_blocks(x_nodes, x_nodes, w))
     sink.write_text(
         "kernel_final.gp",
         "set view map\n"

@@ -19,6 +19,9 @@ One `Stepper` takes every upwind step, in place on preallocated buffers.
 For the step rate every interval above the cell k holding sigma(S) fires
 at p_inf, so with the suffix sums C_k of the interval means, formed once
 per step, each trial activity of the stimulation coupling costs O(nx).
+Its step-kind rates are one full fill and then band updates: the rows
+below k are exactly 0 and those above k + 1 exactly p_inf, so a step
+rewrites only the rows between the old and the new k, plus the one above.
 
 The connectivity kernel relaxes toward gamma * G(N(x), N(y)) and is advanced
 by the exact one-step exponential formula with the activity frozen over the
@@ -60,6 +63,10 @@ class PicardOptions:
             raise ValueError(f"picard mode must be 'lagged' or 'iterate', got {self.mode!r}")
         if self.tol <= 0:
             raise ValueError(f"picard tol must be positive, got {self.tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"picard max_iters must be at least 1, got {self.max_iters}")
+        if not 0 < self.damping <= 1:
+            raise ValueError(f"picard damping must lie in (0, 1], got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -189,6 +196,8 @@ class Stepper:
         self.values, self.new = n.values.copy(), np.empty_like(n.values)
         self.nbar, self.rates, self.loss = (np.empty_like(n.values[1:]) for _ in range(3))
         self.suffix = np.zeros_like(n.values)  # C_k = sum_{i >= k} nbar_i; C_{ns-1} = 0
+        self.edges = n.age.nodes
+        self.cells = None  # threshold cells of the step-kind rates once they are set
         self.steps = 0
         self.load()
 
@@ -204,20 +213,40 @@ class Stepper:
         For the step kind every interval above the cell k holding sigma(S)
         fires at p_inf, so N = ds p_inf (C_{k+1} + frac_k nbar_k) costs O(nx).
         """
-        model, ds, edges = self.model, self.age.ds, self.age.nodes
+        model, ds = self.model, self.age.ds
         if model.kind != "step":
             return ds * np.sum(model.interval_rates(self.age, S) * self.nbar, axis=0)
         if not self.suffix_ready:
             np.cumsum(self.nbar[::-1], axis=0, out=self.suffix[-2::-1])
             self.suffix_ready = True
         sig = model.sigma(S)
-        k = np.clip(np.searchsorted(edges, sig, side="right") - 1, 0, len(edges) - 2)
-        frac = np.clip((edges[k + 1] - sig) / ds, 0.0, 1.0)
+        k = self.threshold_cell(sig)
+        frac = np.clip((self.edges[k + 1] - sig) / ds, 0.0, 1.0)
         cols = np.arange(len(k))
         return ds * model.p_inf * (self.suffix[k + 1, cols] + frac * self.nbar[k, cols])
 
+    def threshold_cell(self, sig: np.ndarray) -> np.ndarray:
+        """Per column the cell k with s_k <= sigma < s_{k+1}, clipped to the grid."""
+        return np.clip(np.searchsorted(self.edges, sig, side="right") - 1, 0, len(self.edges) - 2)
+
     def set_rates(self, S: np.ndarray) -> None:
-        self.model.interval_rates(self.age, S, out=self.rates)
+        """The interval rates at S; after a first full step-kind fill only rows
+        min(k_old, k) .. max(k_old, k) + 1 change, each set as interval_rates sets it."""
+        model = self.model
+        if model.kind != "step":
+            model.interval_rates(self.age, S, out=self.rates)
+            return
+        sig = model.sigma(S)
+        k = self.threshold_cell(sig)
+        if self.cells is None:
+            model.interval_rates(self.age, S, out=self.rates)
+        else:
+            lo = np.minimum(k, self.cells)
+            width = int((np.maximum(k, self.cells) - lo).max()) + 2
+            rows = np.minimum(lo + np.arange(width)[:, None], len(self.rates) - 1)
+            band = np.clip((self.edges[rows + 1] - sig) / self.age.ds, 0.0, 1.0) * model.p_inf
+            self.rates[rows, np.arange(len(k))] = band
+        self.cells = k
 
     def flux(self) -> np.ndarray:
         """The discharge integral ds sum_i r_i nbar_i at the set rates."""
@@ -230,7 +259,8 @@ class Stepper:
         """
         self.set_rates(S)
         cfg, lam, v, new, loss = self.cfg, self.lam, self.values, self.new, self.loss
-        r_max = float(self.rates.max())
+        # step-kind columns are non-decreasing in age: the last row holds the maximum
+        r_max = float((self.rates[-1] if self.model.kind == "step" else self.rates).max())
         if cfg.cfl_guard and (bound := lam + 0.5 * (cfg.dt / cfg.epsilon) * r_max) > 1 + 1e-12:
             raise CFLError(f"positivity bound violated: dt/(eps*ds) + dt*r_max/(2*eps) = "
                            f"{bound:.6g} > 1 (max rate {r_max:.6g})")

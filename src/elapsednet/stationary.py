@@ -17,16 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import damped_fixed_point
+from .fixedpoint import PicardResult, damped_fixed_point
 from .grids import AgeGrid, ConnectivityKernel, DensityField, SpatialGrid
-from .models import (
-    FiringRateModel,
-    LearningRule,
-    lipschitz_F,
-    stimulation_bounds,
-    sup_F,
-    survival_F,
-)
+from .models import F_bounds, FiringRateModel, LearningRule, stimulation_bounds, survival_F
 
 
 @dataclass
@@ -72,13 +65,14 @@ class StationaryProblem:
         lo, hi = stimulation_bounds(
             self.model, self.rule, w0_max, float(self.g.max()), self.input_values
         )
-        lipF = lipschitz_F(self.model, lo, hi)
-        supF = sup_F(self.model, lo, hi)
+        lipF, supF = F_bounds(self.model, lo, hi)
         bound = self.rule.gamma * lipF * (2.0 * float(self.g.max()) * supF + 1.0)
         return ContractionCertificate(holds=bound < 1.0, bound=bound)
 
-    def reconstruct(self, S: np.ndarray) -> StationaryState:
-        """Assemble the full steady profile from a stimulation vector."""
+    def reconstruct(self, result: PicardResult,
+                    certificate: ContractionCertificate) -> StationaryState:
+        """Assemble the full steady profile from the fixed-point iteration's result."""
+        S = result.value
         N = self.activity(S)
         w = self.rule.kernel_target(N, self.space)
         hazard = self.model.cumulative_hazard(self.age.nodes, S)
@@ -86,17 +80,16 @@ class StationaryProblem:
         # per-column normalization: the discrete age-integral must equal g exactly
         n = DensityField(profile * N[None, :], self.age, self.space)
         n.normalize_mass(self.g)
-        residual = float(np.abs(self.apply_T(S) - S).max())
         return StationaryState(
             S_star=np.asarray(S, dtype=float),
             N_star=N,
             w_star=w,
             n_star=n,
-            residual=residual,
-            contraction_certificate=self.certificate(),
-            converged=True,
-            iterations=0,
-            residual_history=[],
+            residual=result.residual,
+            contraction_certificate=certificate,
+            converged=result.converged,
+            iterations=result.iterations,
+            residual_history=result.residual_history,
         )
 
 
@@ -113,29 +106,26 @@ def solve_stationary(
     With `multistart` a list of initial profiles is solved independently and
     the distinct fixed points (sup-distance > 10 tol apart) are returned as a
     list.  A non-converged solve returns its best iterate flagged
-    `converged=False`.
+    `converged=False`.  The contraction certificate is computed once and
+    shared by every state.
     """
-    if multistart is not None:
-        states: list[StationaryState] = []
-        for start in multistart:
-            state = solve_stationary(problem, initial=start, tol=tol,
-                                     max_iters=max_iters, damping=damping)
-            if state.converged and all(
-                np.abs(state.S_star - other.S_star).max() > 10 * tol for other in states
-            ):
-                states.append(state)
-        return states
+    certificate = problem.certificate()
 
-    if initial is None:
-        initial = problem.input_values.copy()
-    result = damped_fixed_point(problem.apply_T, np.asarray(initial, dtype=float),
-                                tol=tol, max_iters=max_iters, damping=damping)
-    state = problem.reconstruct(result.value)
-    state.converged = result.converged
-    state.iterations = result.iterations
-    state.residual_history = result.residual_history
-    state.residual = result.residual
-    return state
+    def solve(start: np.ndarray) -> StationaryState:
+        result = damped_fixed_point(problem.apply_T, np.asarray(start, dtype=float),
+                                    tol=tol, max_iters=max_iters, damping=damping)
+        return problem.reconstruct(result, certificate)
+
+    if multistart is None:
+        return solve(problem.input_values if initial is None else initial)
+    states: list[StationaryState] = []
+    for start in multistart:
+        state = solve(start)
+        if state.converged and all(
+            np.abs(state.S_star - other.S_star).max() > 10 * tol for other in states
+        ):
+            states.append(state)
+    return states
 
 
 def default_multistart(problem: StationaryProblem) -> list[np.ndarray]:

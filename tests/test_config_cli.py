@@ -257,8 +257,16 @@ class TestCLI:
         ((), "dt = -0.001\n", "dt"),
         ((), "input = table\ninput_table = 1, 2\n", "input_table"),
         (("--preset", "nope"), None, "preset"),
+        ((), "picard_damping = -1\n", "picard_damping"),
+        ((), "picard_damping = 0\n", "picard_damping"),
+        ((), "picard_damping = 1.5\n", "picard_damping"),
+        ((), "picard_max_iters = 0\n", "picard_max_iters"),
+        ((), "picard = iterate\npicard_max_iters = -3\n", "picard_max_iters"),
+        (("--config", "/nonexistent.cfg"), None, "config"),
+        (("--config", "."), None, "config"),
     ], ids=["tol0", "tol-1", "amplitude", "p_star", "sigma_max", "p_inf", "dt", "table",
-            "preset"])
+            "preset", "damping-1", "damping0", "damping1.5", "max_iters0", "max_iters-3",
+            "missing-config", "config-directory"])
     def test_model_rejections_are_config_errors(self, flags, text, key, tmp_path, capsys):
         if text is not None:
             cfg_path = tmp_path / "exp.cfg"

@@ -1,6 +1,6 @@
-"""The upwind Stepper: its O(nx) step-rate activity, mass conservation over
-random inputs, NaN detection, and agreement with the per-step loop it
-replaced."""
+"""The upwind Stepper: its O(nx) step-rate activity, its band updates of the
+step-rate array, mass conservation over random inputs, NaN detection, and
+agreement with the per-step loop it replaced."""
 
 import numpy as np
 import pytest
@@ -42,6 +42,12 @@ def stimulation(age: AgeGrid):
     )
 
 
+def just_below_edges(age: AgeGrid):
+    """One ulp below a cell edge: the cell above the threshold cell may then fire
+    below p_inf, since the computed edge spacing can fall short of ds."""
+    return st.integers(1, age.ns - 1).map(lambda j: float(np.nextafter(j * age.ds, -np.inf)))
+
+
 def sigma_maps(age: AgeGrid):
     level = st.one_of(st.floats(0.0, age.s_max + 1.0),
                       st.integers(0, age.ns).map(lambda j: j * age.ds))
@@ -71,6 +77,48 @@ def test_fast_activity_matches_interval_quadrature(data):
     assert np.all(fast[model.sigma(S) >= age.s_max] == 0.0)
     # the suffix sums are formed once per loaded field and reused
     np.testing.assert_array_equal(stepper.activity(S), fast)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_band_update_matches_full_fill(data):
+    n = data.draw(grids())
+    age, nx = n.age, n.space.nx
+    model = FiringRateModel(kind="step", p_inf=data.draw(st.floats(0.0, 2.0)) / age.ds,
+                            sigma=data.draw(sigma_maps(age)))
+    stepper = Stepper(n, model, SolverConfig(dt=age.ds / 2))
+    S = None
+    for _ in range(data.draw(st.integers(1, 12))):
+        if S is None or data.draw(st.booleans()):  # anywhere: jumps of many cells
+            S = np.array(data.draw(st.lists(st.one_of(stimulation(age), just_below_edges(age)),
+                                            min_size=nx, max_size=nx)))
+        else:  # the threshold moves by at most two cells
+            S = S + age.ds * np.array(data.draw(st.lists(st.floats(-2.0, 2.0),
+                                                         min_size=nx, max_size=nx)))
+        stepper.set_rates(S)
+        np.testing.assert_array_equal(stepper.rates, model.interval_rates(age, S))
+        # the positivity guard reads the maximum off the last row
+        assert stepper.rates[-1].max() == stepper.rates.max()
+
+
+@pytest.mark.parametrize("ns, s_max", [(11, 1.0), (15, 20.0), (30, 5.0)])
+def test_band_covers_the_cell_above_the_threshold_cell(ns, s_max):
+    # one ulp below an edge whose computed spacing falls short of ds, the cell
+    # above the threshold cell fires below p_inf, so the band must include it
+    age = AgeGrid(ns=ns, s_max=s_max)
+    model = FiringRateModel(kind="step", p_inf=1.0, sigma=SigmaMap("identity"))
+    n = DensityField(np.ones((ns, 1)), age, SpatialGrid(nx=1))
+    short = 0
+    for k, edge in enumerate(age.nodes[1:-1]):
+        S = np.array([np.nextafter(edge, -np.inf)])
+        full = model.interval_rates(age, S)
+        short += full[k + 1, 0] < 1.0
+        for start in (0.0, S[0] - age.ds):  # from far below, and from the next cell down
+            stepper = Stepper(n, model, SolverConfig(dt=age.ds / 2))
+            stepper.set_rates(np.array([start]))
+            stepper.set_rates(S)
+            np.testing.assert_array_equal(stepper.rates, full)
+    assert short > 0
 
 
 def test_fast_activity_at_cell_edges_and_limits():
