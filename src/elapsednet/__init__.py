@@ -35,7 +35,6 @@ from .models import (
     InputModel,
     LearningRule,
     ModelError,
-    QuadratureDomainError,
     SigmaMap,
     lipschitz_F,
     stimulation_bounds,

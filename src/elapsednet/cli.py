@@ -30,7 +30,13 @@ from .config import (
     parse_config,
     with_overrides,
 )
-from .diagnostics import doeblin_check, fit_decay, homogenization_metrics, regime_certificates
+from .diagnostics import (
+    FitError,
+    doeblin_check,
+    fit_decay,
+    homogenization_metrics,
+    regime_certificates,
+)
 from .fixedpoint import PicardError
 from .grids import GridError
 from .limit import epsilon_study, limit_run
@@ -121,7 +127,7 @@ def _report_run(exp: Experiment, record, sink: OutputSink):
         decay = fit_decay(record.times, np.abs(record.N_series - record.final_N()).max(axis=1))
         summary.append(f"activity decay rate = {fmt(decay.lambda_hat)} "
                        f"(r^2 = {fmt(decay.r_squared)})")
-    except Exception:
+    except FitError:
         summary.append("activity decay rate = not fitted")
     return summary + _certificate_lines(exp), _WROTE_FILES
 

@@ -186,6 +186,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("s_max, t_end and save_every must be positive", key="s_max")
     if not 0 < cfg.epsilon <= 1:
         raise ConfigError(f"epsilon must lie in (0, 1], got {cfg.epsilon}", key="epsilon")
+    if cfg.p_inf <= 0:
+        raise ConfigError(f"p_inf must be positive, got {cfg.p_inf}", key="p_inf")
     ds = cfg.s_max / cfg.ns
     dt = cfg.resolved_dt()
     if dt / cfg.epsilon > ds * (1 + 1e-12):
@@ -269,9 +271,9 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
     space = SpatialGrid(nx=cfg.nx)
     age = AgeGrid(ns=cfg.ns, s_max=cfg.s_max)
     sigma = _built("sigma_max", SigmaMap, cfg.sigma, sigma_max=cfg.sigma_max)
-    # past validate_config the rate model rejects only p_inf < 0 or a bad p_star/s_star
+    # past validate_config the rate model rejects only a bad p_star/s_star
     model = _built(
-        "p_inf" if cfg.p_inf < 0 else "p_star", FiringRateModel,
+        "p_star", FiringRateModel,
         kind=cfg.rate, p_inf=cfg.p_inf, sigma=sigma, p_star=cfg.p_star,
         s_star=cfg.s_star, theta=cfg.theta,
         dpdS_bound=(1.5 * cfg.p_inf * sigma.lipschitz / cfg.theta

@@ -11,6 +11,7 @@ frozen stimulation S and links S to the stationary activity via N = g F(S).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,10 +23,6 @@ from .grids import AgeGrid, ConnectivityKernel, SpatialGrid
 
 class ModelError(ValueError):
     """Invalid model descriptor."""
-
-
-class QuadratureDomainError(RuntimeError):
-    """The age domain is too short to resolve a survival integral."""
 
 
 @dataclass(frozen=True)
@@ -197,11 +194,16 @@ class FiringRateModel:
         return seen
 
 
-RAMP_NODES = 129  # quadrature nodes across the smooth rate's ramp
-_RAMP_UNIT = np.linspace(0.0, 1.0, RAMP_NODES)
+RAMP_INTERVALS = 128  # quadrature intervals across a ramp of hazard rise p_inf * theta <= 1
+MAX_RAMP_REFINE = 64  # caps the cost of one point on very steep ramps
 
 
-def survival_F(model: FiringRateModel, S, age: AgeGrid | None = None):
+@functools.lru_cache(maxsize=None)
+def _ramp_unit(intervals: int) -> np.ndarray:
+    return np.linspace(0.0, 1.0, intervals + 1)
+
+
+def survival_F(model: FiringRateModel, S):
     """F(S) = (integral of exp(-hazard(s)) ds)^(-1), the stationary discharge rate.
 
     Step kind uses the closed form 1 / (1/p_inf + sigma(S)).  For the smooth
@@ -212,15 +214,14 @@ def survival_F(model: FiringRateModel, S, age: AgeGrid | None = None):
         1/F = min(sigma, s_star) + (1 - e^{-p_star x}) / p_star
               + int_sigma^{sigma+theta} e^{-H} ds + e^{-H(sigma+theta)} / p_inf,
 
-    and only the ramp term is a quadrature on RAMP_NODES nodes, with s_star
-    (and the next double, where the floor switches on) added when it falls
-    inside the ramp: H from the trapezoid rule at the nodes, and e^{-H}
-    integrated exactly for H linear between them, so a flat stretch of the
-    rate adds no error and F stays non-increasing in S where it is constant
-    (p_star = p_inf, s_star <= sigma).  Given `age`, the smooth kind
-    instead accumulates the hazard by the trapezoid rule on that grid and
-    raises QuadratureDomainError when the survival tail at s_max is above
-    1e-12.
+    and only the ramp term is a quadrature, with s_star (and the next double,
+    where the floor switches on) added as nodes when it falls inside the
+    ramp: H from the trapezoid rule at the nodes, and e^{-H} integrated
+    exactly for H linear between them, so a flat stretch of the rate adds no
+    error and F stays non-increasing in S where it is constant (p_star =
+    p_inf, s_star <= sigma).  The error of the trapezoid hazard grows like
+    p_inf theta / n^2 on n intervals, so the ramp gets RAMP_INTERVALS times
+    ceil(sqrt(p_inf theta)) of them (at most MAX_RAMP_REFINE times).
     """
     if model.p_inf <= 0:
         raise ModelError("survival_F undefined for a vanishing rate p_inf")
@@ -229,21 +230,14 @@ def survival_F(model: FiringRateModel, S, age: AgeGrid | None = None):
         return 1.0 / (1.0 / model.p_inf + sig)
     S_arr = np.asarray(S, dtype=float)
     if S_arr.ndim:
-        return np.array([survival_F(model, float(v), age) for v in S_arr])
-    if age is not None:
-        hazard = model.cumulative_hazard(age.nodes, float(S_arr))
-        survival = np.exp(-hazard)
-        if survival[-1] > 1e-12:
-            raise QuadratureDomainError(
-                f"survival tail {survival[-1]:.3e} at s_max={age.s_max} exceeds 1e-12"
-            )
-        return 1.0 / age.integrate(survival)
+        return np.array([survival_F(model, float(v)) for v in S_arr])
     sig, theta, p_star, s_star = float(model.sigma(S_arr)), model.theta, model.p_star, model.s_star
     s_on = max(s_star, 0.0)  # the floor holds on (s_on, sigma)
     x = max(sig - s_on, 0.0)
     z = p_star * x  # ratio first: (1 - e^{-z}) / p_star fails once z underflows
     below = min(sig, s_on) + (x * (-math.expm1(-z) / z) if z > 0 else x)
-    window = sig + theta * _RAMP_UNIT
+    intervals = RAMP_INTERVALS * math.ceil(min(math.sqrt(model.p_inf * theta), MAX_RAMP_REFINE))
+    window = sig + theta * _ramp_unit(intervals)
     split = sig <= s_star < sig + theta
     if split:
         window = np.sort(np.append(window, (s_star, np.nextafter(s_star, np.inf))))
@@ -252,7 +246,7 @@ def survival_F(model: FiringRateModel, S, age: AgeGrid | None = None):
     # h e^{-H_a} (1 - e^{-rise}) / rise, whose limit at rise = 0 the 1e-300 gives
     rise = np.diff(hazard) + 1e-300
     weights = -np.expm1(-rise) / rise
-    weights *= np.diff(window) if split else theta / (RAMP_NODES - 1)
+    weights *= np.diff(window) if split else theta / intervals
     survival = np.exp(-hazard)
     return 1.0 / (below + float(survival[:-1] @ weights) + survival[-1] / model.p_inf)
 

@@ -416,18 +416,16 @@ def characteristics_oracle(
     model: FiringRateModel,
     t: float,
     refine: int = 8,
-    picard_tol: float = 1e-12,
-    max_iters: int = 400,
 ) -> DensityField:
     """Evaluate the frozen-coupling density at time t from its Duhamel form.
 
     `S_path` is either a single per-x stimulation vector (frozen for all
     time) or a list of (S_values, duration) pieces, constant in time on each
-    piece.  Survivors transport the window-start field with the accumulated
-    hazard; the reborn part N(t - s) exp(-hazard(s)) closes a Volterra
-    equation for the boundary activity which is solved by Picard iteration
-    to `picard_tol` on a time grid of spacing ds/refine.  Windows are kept
-    shorter than 0.45/p_inf so the iteration is a guaranteed contraction.
+    piece.  Each piece is one window of fine steps ds/refine, its duration
+    rounded up to a whole step.  Survivors transport the window-start field
+    with the accumulated hazard; the reborn part N(t - s) exp(-hazard(s))
+    closes a renewal equation for the boundary activity, marched forward by
+    product integration with exact kernel masses (see `_oracle_window`).
     The survivors' share of the boundary activity is one correlation per
     column over all lags of a window, rescaled blockwise so that no
     exponential of the hazard overflows or underflows to 0/0.
@@ -450,7 +448,6 @@ def characteristics_oracle(
     for ix in range(space.nx):
         values[:, ix] = np.interp(s_fine, age.nodes, n0.values[:, ix])
 
-    max_window = 0.45 / model.p_inf if model.p_inf > 0 else np.inf
     remaining = float(t)
     for S_piece, duration in S_path:
         S_piece = np.asarray(S_piece, dtype=float)
@@ -458,20 +455,12 @@ def characteristics_oracle(
             raise GridError(
                 f"stimulation shape {S_piece.shape} does not match grid ({space.nx},)"
             )
-        piece_left = min(duration, remaining)
-        while piece_left > 1e-14:
-            window = min(piece_left, max_window)
-            m = int(round(window / delta))
-            if m < 1 or abs(m * delta - window) > 1e-9 * max(delta, window):
-                m = max(1, int(np.floor(window / delta + 1e-9)))
-            window = m * delta
-            values = _oracle_window(values, s_fine, S_piece, model, delta, m, picard_tol, max_iters)
-            piece_left -= window
-            remaining -= window
-        if remaining <= 1e-14:
-            break
-    if remaining > 1e-12:
-        raise OracleError(f"stimulation path too short: {remaining} time units uncovered")
+        window = min(duration, remaining)
+        if window > 1e-14:
+            steps = window / delta  # rounded up unless within round-off of a whole number
+            m = max(1, int(np.ceil(steps - 1e-9 * max(1.0, steps))))
+            values = _oracle_window(values, s_fine, S_piece, model, delta, m)
+            remaining -= m * delta
 
     coarse = values[::refine].copy()
     return DensityField(coarse, age, space)
@@ -484,13 +473,17 @@ def _oracle_window(
     model: FiringRateModel,
     delta: float,
     m: int,
-    picard_tol: float,
-    max_iters: int,
 ) -> np.ndarray:
     """Advance the window-start field n_a by m fine steps at frozen S.
 
-    Every survival ratio E(s_i)/E(s_j) is formed as exp(H_j - H_i), so the
-    result stays finite where exp(-H) underflows.
+    N(tau) = Q(tau) + int_0^tau N(tau - s) p e^{-H} ds is marched with the
+    exact kernel mass mu_l = E_l - E_{l+1} of each fine cell (0 past the age
+    domain) and N the mean of its end values there: N_0 = Q_0 and, with
+    w_j = (mu_{j-1} + mu_j)/2,
+    N_k (1 - mu_0/2) = Q_k + mu_{k-1} N_0 / 2 + sum_{j=1}^{k-1} w_j N_{k-j}.
+    While mu_0 = .. = mu_{b-1} = 0 (no firing below sigma), b steps depend
+    on earlier N only and form one product.  Survival ratios E_i/E_j are
+    formed as exp(H_j - H_i), so nothing underflows to 0/0.
     """
     fine_ns, nx = n_a.shape
     hazard = model.cumulative_hazard(s_fine, S)
@@ -501,25 +494,28 @@ def _oracle_window(
         p_nodes = np.broadcast_to(p_nodes[:, None], (fine_ns, nx)).copy()
     Q = _survivor_sum(n_a, hazard, p_nodes, delta, m, model.p_inf)
 
-    # reborn convolution kernel and the Volterra-Picard solve for N(tau)
-    kern = np.exp(-hazard)
-    kern *= p_nodes  # (fine_ns, nx)
-    N = Q.copy()
-    for _ in range(max_iters):
-        N_new = Q.copy()
-        for ix in range(nx):
-            conv = np.convolve(kern[: m + 1, ix], N[:, ix])[: m + 1]
-            conv -= 0.5 * (kern[0, ix] * N[:, ix] + kern[: m + 1, ix] * N[0, ix])
-            N_new[:, ix] += delta * conv
-        change = float(np.abs(N_new - N).max())
-        N = N_new
-        if change < picard_tol:
-            break
-    else:
-        raise OracleError(
-            f"Volterra Picard iteration did not reach {picard_tol} in {max_iters} "
-            f"iterations (last change {change:.3e}); window too long"
-        )
+    # mu_l = e^{-H_l} (1 - e^{-(H_{l+1} - H_l)}): no 0/0 where e^{-H} underflows
+    mu = np.zeros((m + 1, nx))
+    cells = min(m + 1, fine_ns - 1)
+    np.expm1(hazard[:cells] - hazard[1 : cells + 1], out=mu[:cells])
+    mu[:cells] *= -np.exp(-hazard[:cells])
+    w = np.zeros((2 * m + 1, nx))  # w[m + j] = w_j for j = 1..m, 0 for j <= 0
+    w[m + 1 :] = 0.5 * (mu[:-1] + mu[1:])
+    # toeplitz[k, :, r] = w_{k + r - m}: row k against N_{m - r} in reverse order
+    toeplitz = np.lib.stride_tricks.sliding_window_view(w, m + 1, axis=0)
+
+    N = np.empty((m + 1, nx))
+    N[0] = Q[0]
+    rhs = Q[1:] + 0.5 * mu[:-1] * Q[0]  # Q_k + mu_{k-1} N_0 / 2, k = 1..m
+    diag = 1.0 - 0.5 * mu[0]
+    fired = np.flatnonzero(mu.any(axis=1))
+    block = max(int(fired[0]) if fired.size else m, 1)
+    back = N[::-1]
+    for k0 in range(1, m + 1, block):
+        k1 = min(k0 + block, m + 1)
+        history = np.einsum("kcr,rc->kc", toeplitz[k0:k1, :, m + 1 - k0 : m],
+                            back[m + 1 - k0 : m])  # N_{k0-1} .. N_1
+        np.divide(history + rhs[k0 - 1 : k1 - 1], diag, out=N[k0:k1])
 
     new = np.zeros_like(n_a)
     mm = min(m, fine_ns)

@@ -264,9 +264,10 @@ class TestCLI:
         ((), "picard = iterate\npicard_max_iters = -3\n", "picard_max_iters"),
         (("--config", "/nonexistent.cfg"), None, "config"),
         (("--config", "."), None, "config"),
+        ((), "p_inf = 0\nt_end = 0.25\nnx = 4\n", "p_inf"),
     ], ids=["tol0", "tol-1", "amplitude", "p_star", "sigma_max", "p_inf", "dt", "table",
             "preset", "damping-1", "damping0", "damping1.5", "max_iters0", "max_iters-3",
-            "missing-config", "config-directory"])
+            "missing-config", "config-directory", "p_inf0"])
     def test_model_rejections_are_config_errors(self, flags, text, key, tmp_path, capsys):
         if text is not None:
             cfg_path = tmp_path / "exp.cfg"
@@ -278,6 +279,24 @@ class TestCLI:
         assert code == 2
         assert f"key {key!r}" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:absorbing-node mass")
+    @pytest.mark.filterwarnings("ignore:initial density carries")
+    def test_only_a_fit_error_leaves_the_decay_rate_unfitted(self, tmp_path, monkeypatch):
+        # three recorded samples are too few for a decay fit
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("gamma = 0.0\nkernel = zero\nns = 200\ns_max = 10.0\nnx = 4\n"
+                            "t_end = 0.5\nsave_every = 0.25\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 0
+        assert "activity decay rate = not fitted" in (out / "summary.txt").read_text()
+
+        def broken_fit(times, distances):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "fit_decay", broken_fit)
+        with pytest.raises(RuntimeError, match="bug"):
+            run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "again"))
 
     def test_key_error_from_a_bug_is_not_a_config_error(self, monkeypatch):
         def broken_build(cfg):

@@ -9,7 +9,6 @@ from elapsednet.models import (
     InputModel,
     LearningRule,
     ModelError,
-    QuadratureDomainError,
     SigmaMap,
     lipschitz_F,
     stimulation_bounds,
@@ -149,11 +148,6 @@ class TestSurvivalF:
         s_star, p_star = m.s_star, m.p_star
         bound = m.p_inf**2 * m.dpdS_bound * (s_star**2 / 2 + s_star / p_star + 1 / p_star**2)
         assert sampled <= bound
-
-    def test_domain_too_short(self):
-        m = smooth_model(0.1)
-        with pytest.raises(QuadratureDomainError):
-            survival_F(m, 1.0, age=AgeGrid(ns=50, s_max=5.0))
 
     def test_vanishing_rate_rejected(self):
         m = step_model(p_inf=0.0)

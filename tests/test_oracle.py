@@ -1,6 +1,7 @@
-"""The characteristics oracle's survivor sum and the smooth-rate survival
-normalization F: agreement with the direct sums they replaced, finiteness
-where exp(-hazard) underflows, and monotonicity."""
+"""The characteristics oracle's survivor sum, its renewal marching and the
+smooth-rate survival normalization F: agreement with the direct sums they
+replaced and with closed forms, finiteness where exp(-hazard) underflows,
+and monotonicity."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from elapsednet.config import build_experiment, with_overrides
+from elapsednet.diagnostics import doeblin_check
 from elapsednet.grids import AgeGrid, DensityField, SpatialGrid
 from elapsednet.models import FiringRateModel, ModelError, SigmaMap, survival_F
+from elapsednet.presets import get_preset
 from elapsednet.renewal import _survivor_sum, characteristics_oracle
 
 
@@ -97,6 +101,67 @@ def test_oracle_finite_where_survival_underflows():
     np.testing.assert_allclose(out.values[1:], survivors, rtol=0, atol=1e-14)
 
 
+def constant_hazard_solution(n0, p_inf, t):
+    """Every neuron fires at rate p_inf, so N = p_inf g for all time: the field
+    is p_inf g e^{-p_inf s} below s = t and n0(s - t) e^{-p_inf t} above.
+    Valid while n0 keeps its mass inside the domain up to t."""
+    s = n0.age.nodes[:, None]
+    shifted = np.column_stack([np.interp(s[:, 0] - t, n0.age.nodes, col) for col in n0.values.T])
+    return np.where(s < t - 1e-9 * n0.age.ds, p_inf * n0.mass() * np.exp(-p_inf * s),
+                    shifted * np.exp(-p_inf * t))
+
+
+def constant_hazard_model(p_inf):
+    return FiringRateModel(kind="step", p_inf=p_inf, sigma=SigmaMap("constant", 0.0))
+
+
+@st.composite
+def constant_hazard_cases(draw):
+    """A nonnegative n0 that is 0 at the top q + 1 nodes, t = q ds and p_inf * ds/refine in (0, 2]."""
+    ns, nx, refine = draw(st.integers(3, 40)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    age = AgeGrid(ns=ns, s_max=draw(st.floats(0.5, 20.0)))
+    q = draw(st.integers(1, ns - 2))
+    values = np.zeros((ns, nx))
+    values[: ns - q - 1] = draw(hnp.arrays(np.float64, (ns - q - 1, nx),
+                                           elements=st.floats(0.0, 10.0, allow_subnormal=False)))
+    rise = draw(st.floats(0.0, 2.0, exclude_min=True, allow_subnormal=False))
+    n0 = DensityField(values, age, SpatialGrid(nx=nx))
+    return n0, rise * refine / age.ds, q * age.ds, refine
+
+
+@settings(deadline=None)
+@given(case=constant_hazard_cases())
+def test_oracle_matches_constant_hazard_closed_form(case):
+    n0, p_inf, t, refine = case
+    out = characteristics_oracle(n0, np.zeros(n0.space.nx), constant_hazard_model(p_inf),
+                                 t=t, refine=refine)
+    exact = constant_hazard_solution(n0, p_inf, t)
+    assert np.abs(out.values - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("p_inf", [10.0, 20.0, 40.0, 60.0, 79.0, 120.0])
+def test_oracle_exact_under_fast_renewal(p_inf):
+    # trapezoid kernel weights once grew the mass by up to 2e4x here, and
+    # p_inf >= 79 broke the windowed Picard solve; n0 = e^{-s} is cut to 0
+    # on the top nodes so that no mass leaves the domain by t
+    age, space, t = AgeGrid(ns=200, s_max=20.0), SpatialGrid(nx=1), 0.5
+    n0 = DensityField.from_function(age, space,
+                                    lambda s, x: np.exp(-s) * (s < age.s_max - t - age.ds) + 0 * x)
+    out = characteristics_oracle(n0, np.zeros(1), constant_hazard_model(p_inf), t=t, refine=4)
+    assert np.all(np.isfinite(out.values)) and out.values.min() >= 0.0
+    exact = constant_hazard_solution(n0, p_inf, t)
+    assert np.abs(out.values - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def test_doeblin_margin_converges_in_refine():
+    # sigma = S = 1 and t0 = 2: one block of lags with no firing, then a second block
+    exp = build_experiment(with_overrides(get_preset("g1i1c").config, nx=4))
+    S = exp.input_model.evaluate(exp.space)
+    coarse, fine = (doeblin_check(exp.n0, S, exp.model, refine=r) for r in (8, 32))
+    assert coarse.t0 == 2.0
+    assert abs(coarse.minorization_margin - fine.minorization_margin) <= 1e-5
+
+
 def inverse_F_reference(model, S, n=200_001):
     """Midpoint hazard on a fine grid with nodes at s_star, sigma and sigma + theta."""
     sig = float(model.sigma(S))
@@ -135,6 +200,9 @@ def floored_smooth_model(p_star):
 # p_star * x underflows, so (1 - e^{-p_star x}) / p_star cannot be formed directly
 @example(case=(floored_smooth_model(5e-324), 0.5))
 @example(case=(floored_smooth_model(5e-324), 0.75))
+# a steep ramp, p_inf theta = 10: 128 intervals were 1.09e-4 off
+@example(case=(FiringRateModel(kind="smooth", p_inf=5.0, sigma=SigmaMap("identity"),
+                               p_star=1.25, s_star=0.5, theta=2.0), 0.0))
 def test_smooth_survival_F_matches_fine_quadrature(case):
     model, S = case
     F = survival_F(model, S)

@@ -141,6 +141,9 @@ class TestCharacteristicsOracle:
         one = characteristics_oracle(n0, S, model, t=1.0, refine=4)
         two = characteristics_oracle(n0, [(S, 0.5), (S, 0.5)], model, t=1.0, refine=4)
         np.testing.assert_allclose(one.values, two.values, atol=1e-12)
+        # an empty piece advances nothing and does not end the path
+        gap = characteristics_oracle(n0, [(S, 0.5), (S, 0.0), (S, 0.5)], model, t=1.0, refine=4)
+        np.testing.assert_allclose(one.values, gap.values, atol=1e-12)
 
     def test_matches_closed_form_for_unit_rate(self):
         # with p = 1 for all s > 0 the activity equals the conserved mass m0,
