@@ -31,8 +31,9 @@ class SpatialGrid:
     def __post_init__(self) -> None:
         if self.nx < 1:
             raise GridError(f"nx must be a positive integer, got {self.nx}")
-        if not self.x_max > self.x_min:
-            raise GridError(f"empty domain: x_min={self.x_min}, x_max={self.x_max}")
+        if not -np.inf < self.x_min < self.x_max < np.inf:
+            raise GridError(f"domain must be finite and nonempty: x_min={self.x_min}, "
+                            f"x_max={self.x_max}")
 
     @property
     def length(self) -> float:
@@ -73,8 +74,8 @@ class AgeGrid:
     def __post_init__(self) -> None:
         if self.ns < 2:
             raise GridError(f"ns must be at least 2, got {self.ns}")
-        if not self.s_max > 0:
-            raise GridError(f"s_max must be positive, got {self.s_max}")
+        if not 0 < self.s_max < np.inf:
+            raise GridError(f"s_max must be positive and finite, got {self.s_max}")
 
     @property
     def ds(self) -> float:

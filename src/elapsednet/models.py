@@ -25,6 +25,14 @@ class ModelError(ValueError):
     """Invalid model descriptor."""
 
 
+def _require_finite(owner: object, names: tuple[str, ...]) -> None:
+    """Refuse a NaN or infinite value in each named field that is set."""
+    for name in names:
+        value = getattr(owner, name)
+        if value is not None and not math.isfinite(value):
+            raise ModelError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SigmaMap:
     """Firing threshold sigma(S): identity, bounded min(S+, sigma_max) or constant."""
@@ -35,6 +43,8 @@ class SigmaMap:
     def __post_init__(self) -> None:
         if self.kind not in ("identity", "bounded", "constant"):
             raise ModelError(f"unknown sigma kind: {self.kind!r}")
+        if self.sigma_max is not None and math.isnan(self.sigma_max):  # +inf: identity's limit
+            raise ModelError("sigma_max must be a number, got nan")
         if self.kind in ("bounded", "constant"):
             if self.sigma_max is None or self.sigma_max < 0:
                 raise ModelError(f"sigma kind {self.kind!r} needs sigma_max >= 0")
@@ -86,6 +96,7 @@ class FiringRateModel:
     def __post_init__(self) -> None:
         if self.kind not in ("step", "smooth"):
             raise ModelError(f"unknown rate kind: {self.kind!r}")
+        _require_finite(self, ("p_inf", "p_star", "s_star", "theta", "dpdS_bound"))
         if self.p_inf < 0:
             raise ModelError(f"p_inf must be nonnegative, got {self.p_inf}")
         if self.kind == "smooth":
@@ -280,6 +291,7 @@ class LearningRule:
     def __post_init__(self) -> None:
         if self.kind not in ("hebbian", "gaussian_sigmoid"):
             raise ModelError(f"unknown learning rule: {self.kind!r}")
+        _require_finite(self, ("gamma",))
         if self.gamma < 0:
             raise ModelError(f"gamma must be nonnegative, got {self.gamma}")
 
@@ -324,6 +336,9 @@ class InputModel:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "sin_squared", "table"):
             raise ModelError(f"unknown input kind: {self.kind!r}")
+        _require_finite(self, ("amplitude", "k"))
+        if self.table is not None and not np.all(np.isfinite(self.table)):
+            raise ModelError(f"input table values must be finite, got {self.table}")
         if self.kind == "table" and self.table is None:
             raise ModelError("table input needs explicit values")
         if self.kind != "table" and self.amplitude < 0:

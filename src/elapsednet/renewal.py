@@ -15,13 +15,14 @@ drifts only by the telescoped boundary mismatch (N - n_0)(ds/2 - dt/eps)
 otherwise.  Pairing the loss term with the same interval means gives the
 scheme a Crank-Nicolson stationary profile, accurate to O(ds^2).
 
-One `Stepper` takes every upwind step, in place on preallocated buffers.
-For the step rate every interval above the cell k holding sigma(S) fires
-at p_inf, so with the suffix sums C_k of the interval means, formed once
-per step, each trial activity of the stimulation coupling costs O(nx).
-Its step-kind rates are one full fill and then band updates: the rows
-below k are exactly 0 and those above k + 1 exactly p_inf, so a step
-rewrites only the rows between the old and the new k, plus the one above.
+One `Stepper` takes every upwind step in place, as new_i = A_i n_i +
+B_i n_{i-1} with B = lam - dt r_i/(2 eps) and A = B + 1 - 2 lam, and sums
+the discharge products r_i nbar_i per column in one BLAS call.  For the step
+rate every interval above the cell k holding sigma(S) fires at p_inf, so
+with the suffix sums C_k of the interval means each trial activity of the
+coupling costs O(nx), and the rates and coefficients are one full fill and
+then band updates of the rows between the old and the new k, plus the one
+above (the rows below k are exactly 0, those above k + 1 exactly p_inf).
 
 The connectivity kernel relaxes toward gamma * G(N(x), N(y)) and is advanced
 by the exact one-step exponential formula with the activity frozen over the
@@ -61,8 +62,8 @@ class PicardOptions:
     def __post_init__(self) -> None:
         if self.mode not in ("lagged", "iterate"):
             raise ValueError(f"picard mode must be 'lagged' or 'iterate', got {self.mode!r}")
-        if self.tol <= 0:
-            raise ValueError(f"picard tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"picard tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"picard max_iters must be at least 1, got {self.max_iters}")
         if not 0 < self.damping <= 1:
@@ -77,8 +78,8 @@ class SolverConfig:
     cfl_guard: bool = True
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0 < self.epsilon <= 1:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
 
@@ -187,15 +188,20 @@ class Stepper:
 
     Per step: `load` the interval means, evaluate the activity for the
     coupling, and `advance`, whose rates stay buffered for the next `flux`.
+    `advance` spends nbar, so `load` must precede the next `flux` or `activity`.
+    Buffers of the field's size: values, nbar, rates, the update coefficients
+    A and B, and suffix (the step-kind activity's sums, or the products of `flux`).
     """
 
     def __init__(self, n: DensityField, model: FiringRateModel, cfg: SolverConfig):
         cfg.validate(n.age, model)
         self.age, self.model, self.cfg = n.age, model, cfg
         self.lam = cfg.dt / (cfg.epsilon * n.age.ds)
-        self.values, self.new = n.values.copy(), np.empty_like(n.values)
-        self.nbar, self.rates, self.loss = (np.empty_like(n.values[1:]) for _ in range(3))
-        self.suffix = np.zeros_like(n.values)  # C_k = sum_{i >= k} nbar_i; C_{ns-1} = 0
+        self.h = cfg.dt / (2.0 * cfg.epsilon)  # the loss weight of each interval end
+        self.values = n.values.copy()
+        self.nbar, self.rates, self.A, self.B = (np.empty_like(n.values[1:]) for _ in range(4))
+        self.suffix = np.zeros(n.values.shape)  # C_k = sum_{i >= k} nbar_i; C_{ns-1} = 0
+        self.widths = np.full(n.age.ns - 1, n.age.ds)  # N = widths @ (r nbar), a column sum
         self.edges = n.age.nodes
         self.cells = None  # threshold cells of the step-kind rates once they are set
         self.steps = 0
@@ -215,7 +221,8 @@ class Stepper:
         """
         model, ds = self.model, self.age.ds
         if model.kind != "step":
-            return ds * np.sum(model.interval_rates(self.age, S) * self.nbar, axis=0)
+            rates = model.interval_rates(self.age, S)
+            return self.widths @ np.multiply(rates, self.nbar, out=rates)
         if not self.suffix_ready:
             np.cumsum(self.nbar[::-1], axis=0, out=self.suffix[-2::-1])
             self.suffix_ready = True
@@ -230,52 +237,55 @@ class Stepper:
         return np.clip(np.searchsorted(self.edges, sig, side="right") - 1, 0, len(self.edges) - 2)
 
     def set_rates(self, S: np.ndarray) -> None:
-        """The interval rates at S; after a first full step-kind fill only rows
-        min(k_old, k) .. max(k_old, k) + 1 change, each set as interval_rates sets it."""
-        model = self.model
-        if model.kind != "step":
-            model.interval_rates(self.age, S, out=self.rates)
-            return
+        """The interval rates r at S and the coefficients B = lam - h r, A = B + (1 - 2 lam); after
+        a first full step-kind fill only rows min(k_old, k) .. max(k_old, k) + 1 change."""
+        model, lam, h = self.model, self.lam, self.h
         sig = model.sigma(S)
-        k = self.threshold_cell(sig)
+        k = self.threshold_cell(sig) if model.kind == "step" else None
         if self.cells is None:
             model.interval_rates(self.age, S, out=self.rates)
+            np.subtract(lam, np.multiply(self.rates, h, out=self.B), out=self.B)
+            np.add(self.B, 1.0 - 2.0 * lam, out=self.A)
         else:
             lo = np.minimum(k, self.cells)
             width = int((np.maximum(k, self.cells) - lo).max()) + 2
             rows = np.minimum(lo + np.arange(width)[:, None], len(self.rates) - 1)
-            band = np.clip((self.edges[rows + 1] - sig) / self.age.ds, 0.0, 1.0) * model.p_inf
-            self.rates[rows, np.arange(len(k))] = band
+            cols = np.arange(len(k))
+            rates = np.clip((self.edges[rows + 1] - sig) / self.age.ds, 0.0, 1.0) * model.p_inf
+            self.rates[rows, cols] = rates
+            self.B[rows, cols] = b = lam - rates * h
+            self.A[rows, cols] = b + (1.0 - 2.0 * lam)
         self.cells = k
 
     def flux(self) -> np.ndarray:
-        """The discharge integral ds sum_i r_i nbar_i at the set rates."""
-        return self.age.ds * np.multiply(self.rates, self.nbar, out=self.loss).sum(axis=0)
+        """The discharge integral ds sum_i r_i nbar_i of the loaded field at the set rates;
+        the products r_i nbar_i overwrite the suffix sums."""
+        self.suffix_ready = False
+        return self.widths @ np.multiply(self.rates, self.nbar, out=self.suffix[1:])
 
     def advance(self, S: np.ndarray) -> np.ndarray:
-        """One step of the loaded field at stimulation S; returns the injected N.
+        """One step of the loaded field at stimulation S, in place; returns the injected N.
 
-        The coefficients are formed once so that lam = 1 shifts exactly.
+        new_i = A_i v_i + B_i v_{i-1} is v_i - lam (v_i - v_{i-1}) - (dt/eps) r_i nbar_i
+        in coefficient form, so lam = 1 with r = 0 (A = 0, B = 1) shifts exactly;
+        the absorbing row, (A + B) v + 2 B v_{ns-2}, reads v_{ns-2} and so goes
+        first.  nbar is spent: it takes r_i nbar_i for N, then B_i v_{i-1}.
         """
         self.set_rates(S)
-        cfg, lam, v, new, loss = self.cfg, self.lam, self.values, self.new, self.loss
+        cfg, lam, v, nbar = self.cfg, self.lam, self.values, self.nbar
         # step-kind columns are non-decreasing in age: the last row holds the maximum
         r_max = float((self.rates[-1] if self.model.kind == "step" else self.rates).max())
-        if cfg.cfl_guard and (bound := lam + 0.5 * (cfg.dt / cfg.epsilon) * r_max) > 1 + 1e-12:
+        if cfg.cfl_guard and (bound := lam + self.h * r_max) > 1 + 1e-12:
             raise CFLError(f"positivity bound violated: dt/(eps*ds) + dt*r_max/(2*eps) = "
                            f"{bound:.6g} > 1 (max rate {r_max:.6g})")
-        N = self.flux()
-        np.multiply(self.rates, cfg.dt / cfg.epsilon, out=loss)
-        loss *= self.nbar
-        inner = np.subtract(v[1:-1], v[:-2], out=new[1:-1])
-        inner *= lam
-        np.subtract(v[1:-1], inner, out=inner)
-        inner -= loss[:-1]
-        new[-1] = v[-1] + 2.0 * lam * v[-2] - 2.0 * loss[-1]
-        new[0] = N
-        self.values, self.new = new, v
+        N = self.widths @ np.multiply(self.rates, nbar, out=nbar)
+        v[-1] = (self.A[-1] + self.B[-1]) * v[-1] + 2.0 * self.B[-1] * v[-2]
+        scratch = np.multiply(self.B[:-1], v[:-2], out=nbar[:-1])
+        v[1:-1] *= self.A[:-1]
+        v[1:-1] += scratch
+        v[0] = N
         self.steps += 1
-        low = float(new.min())
+        low = float(v.min())
         if not low >= NEGATIVE_SENTINEL:  # NaN fails this comparison too
             raise NegativeDensityError(
                 f"density reached {low:.3e} at t = {self.steps * cfg.dt:.6g}")

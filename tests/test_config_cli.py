@@ -13,7 +13,6 @@ from elapsednet.config import (
     serialize_config,
     with_overrides,
 )
-from elapsednet.models import LearningRule
 from elapsednet.presets import PRESETS, get_preset, list_presets
 
 
@@ -230,17 +229,18 @@ class TestCLI:
         assert "status = incomplete" in (out / "MANIFEST").read_text()
 
     def test_nan_run_is_incomplete(self, tmp_path, monkeypatch):
-        # gamma = nan in a config file is now refused by the parser, so the
-        # NaN is put into the built experiment; the kernel then carries it
-        # into S and the density, and the run must not report success
+        # a NaN in a config file is refused by the parser and a NaN gain by
+        # LearningRule, so the NaN is put into the built experiment's initial
+        # kernel; it carries it into S and the density, and the run must not
+        # report success
         build = cli.build_experiment
 
-        def build_with_nan_gain(cfg):
+        def build_with_nan_kernel(cfg):
             exp = build(cfg)
-            exp.rule = LearningRule(exp.rule.kind, float("nan"))
+            exp.w0.values[0, 0] = float("nan")
             return exp
 
-        monkeypatch.setattr(cli, "build_experiment", build_with_nan_gain)
+        monkeypatch.setattr(cli, "build_experiment", build_with_nan_kernel)
         out = tmp_path / "out"
         code = run_cli("run", "--preset", "g1i1c", "--t-end", "0.5", "--out", str(out))
         assert code == 1

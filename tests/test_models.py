@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from elapsednet.grids import AgeGrid, SpatialGrid
+from elapsednet.grids import AgeGrid, GridError, SpatialGrid
 from elapsednet.models import (
     FiringRateModel,
     InputModel,
@@ -14,6 +14,7 @@ from elapsednet.models import (
     stimulation_bounds,
     survival_F,
 )
+from elapsednet.renewal import PicardOptions, SolverConfig
 
 
 def step_model(p_inf=1.0, sigma_kind="identity", sigma_max=None):
@@ -28,6 +29,46 @@ def smooth_model(theta, p_inf=1.0, p_star=1.0, s_star=None, sigma_kind="identity
     return FiringRateModel(kind="smooth", p_inf=p_inf, sigma=sigma, p_star=p_star,
                            s_star=s_star, theta=theta,
                            dpdS_bound=1.5 * p_inf / theta)
+
+
+NAN, INF = float("nan"), float("inf")
+SMOOTH = dict(kind="smooth", p_inf=1.0, sigma=SigmaMap("identity"), p_star=0.5, s_star=2.0,
+              theta=0.3)
+
+
+NON_FINITE_CASES = [
+    (lambda v: step_model(p_inf=v), "p_inf", NAN, ModelError),
+    (lambda v: step_model(p_inf=v), "p_inf", INF, ModelError),
+    (lambda v: FiringRateModel(**{**SMOOTH, "s_star": v}), "s_star", NAN, ModelError),
+    (lambda v: FiringRateModel(**{**SMOOTH, "theta": v}), "theta", INF, ModelError),
+    (lambda v: FiringRateModel(**{**SMOOTH, "p_star": v}), "p_star", NAN, ModelError),
+    (lambda v: FiringRateModel(**SMOOTH, dpdS_bound=v), "dpdS_bound", NAN, ModelError),
+    (lambda v: LearningRule("hebbian", v), "gamma", NAN, ModelError),
+    (lambda v: LearningRule("hebbian", v), "gamma", INF, ModelError),
+    (lambda v: SigmaMap("bounded", sigma_max=v), "sigma_max", NAN, ModelError),
+    (lambda v: SigmaMap("identity", sigma_max=v), "sigma_max", NAN, ModelError),
+    (lambda v: InputModel("constant", amplitude=v), "amplitude", INF, ModelError),
+    (lambda v: InputModel("constant", k=v), "k", NAN, ModelError),
+    (lambda v: InputModel("table", table=(1.0, v)), "table", NAN, ModelError),
+    (lambda v: SolverConfig(dt=v), "dt", NAN, ValueError),
+    (lambda v: SolverConfig(dt=v), "dt", INF, ValueError),
+    (lambda v: PicardOptions(tol=v), "tol", NAN, ValueError),
+    (lambda v: AgeGrid(ns=10, s_max=v), "s_max", INF, GridError),
+    (lambda v: SpatialGrid(nx=4, x_max=v), "x_max", INF, GridError),
+]
+
+
+@pytest.mark.parametrize("make, field, value, error", NON_FINITE_CASES,
+                         ids=[f"{field}={value}" for _, field, value, _ in NON_FINITE_CASES])
+def test_non_finite_fields_are_refused_by_name(make, field, value, error):
+    with pytest.raises(error, match=field):
+        make(value)
+
+
+def test_an_unbounded_threshold_stays_legal():
+    # limit_model builds sigma_max = inf for the identity map
+    assert step_model().limit_model().sigma.sigma_max == INF
+    assert SigmaMap("bounded", sigma_max=INF)(5.0) == 5.0
 
 
 class TestFiringRate:

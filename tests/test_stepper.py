@@ -1,6 +1,6 @@
 """The upwind Stepper: its O(nx) step-rate activity, its band updates of the
-step-rate array, mass conservation over random inputs, NaN detection, and
-agreement with the per-step loop it replaced."""
+step-rate array and update coefficients, mass conservation over random inputs,
+NaN detection, and agreement, to round-off, with the per-step loop it replaced."""
 
 import numpy as np
 import pytest
@@ -96,9 +96,16 @@ def test_band_update_matches_full_fill(data):
             S = S + age.ds * np.array(data.draw(st.lists(st.floats(-2.0, 2.0),
                                                          min_size=nx, max_size=nx)))
         stepper.set_rates(S)
-        np.testing.assert_array_equal(stepper.rates, model.interval_rates(age, S))
-        # the positivity guard reads the maximum off the last row
+        rates = model.interval_rates(age, S)
+        np.testing.assert_array_equal(stepper.rates, rates)
+        B = stepper.lam - rates * stepper.h
+        np.testing.assert_array_equal(stepper.B, B)
+        np.testing.assert_array_equal(stepper.A, B + (1.0 - 2.0 * stepper.lam))
+        # the positivity guard reads the maximum off the last row; where it
+        # passes, both coefficients are nonnegative
         assert stepper.rates[-1].max() == stepper.rates.max()
+        assert stepper.lam + stepper.h * rates.max() <= 1 + 1e-12
+        assert stepper.A.min() >= 0.0 and stepper.B.min() >= 0.0
 
 
 @pytest.mark.parametrize("ns, s_max", [(11, 1.0), (15, 20.0), (30, 5.0)])
@@ -217,7 +224,7 @@ def _small_problem():
                      p_star=0.5, s_star=4.0, theta=0.3),
      LearningRule("gaussian_sigmoid", 2.0)),
 ])
-def test_lagged_run_matches_the_fresh_array_loop_bit_for_bit(model, rule):
+def test_lagged_run_matches_the_fresh_array_loop_to_round_off(model, rule):
     n0, w0, input_model = _small_problem()
     cfg = SolverConfig(dt=n0.age.ds / 2)
     n_steps = 60
@@ -227,9 +234,18 @@ def test_lagged_run_matches_the_fresh_array_loop_bit_for_bit(model, rule):
     N_ref, S_ref, w_ref = _reference_lagged_run(
         n0, w0, model, rule, input_model.evaluate(n0.space), cfg, n_steps, rec.S_series[0]
     )
-    np.testing.assert_array_equal(rec.N_series, N_ref)
-    np.testing.assert_array_equal(rec.S_series, S_ref)
-    np.testing.assert_array_equal(rec.w_snapshot_at(n_steps * cfg.dt), w_ref)
+    # The Stepper's update A_i v_i + B_i v_{i-1} rounds differently from the
+    # loop's v_i - lam (v_i - v_{i-1}) - loss_i.  Per step each cell takes at
+    # most 8 roundings in either form, each within one ulp of the field's max
+    # since the coefficients are nonnegative and at most 1: 16 ulps between the
+    # two.  At dt = eps*ds/2 the step is positive and conserves mass, so it does
+    # not amplify earlier differences; they add up over the steps.  N, S and w
+    # are sums of the field with nonnegative weights and carry the same relative
+    # bound.  Measured after 60 steps: at most 2.5e-15 of the max, 1/80 of it.
+    tol = n_steps * 16 * np.finfo(float).eps
+    for got, ref in ((rec.N_series, N_ref), (rec.S_series, S_ref),
+                     (rec.w_snapshot_at(n_steps * cfg.dt), w_ref)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=tol * np.abs(ref).max())
 
 
 def test_recorded_rows_and_snapshots_do_not_share_buffers():
