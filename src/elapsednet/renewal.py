@@ -198,6 +198,8 @@ class Stepper:
         self.age, self.model, self.cfg = n.age, model, cfg
         self.lam = cfg.dt / (cfg.epsilon * n.age.ds)
         self.h = cfg.dt / (2.0 * cfg.epsilon)  # the loss weight of each interval end
+        # B >= 0 as validate bounds ds p_inf by 2, A >= 0 under the guard: clamp round-off
+        self.A_floor = 0.0 if cfg.cfl_guard else -np.inf
         self.values = n.values.copy()
         self.nbar, self.rates, self.A, self.B = (np.empty_like(n.values[1:]) for _ in range(4))
         self.suffix = np.zeros(n.values.shape)  # C_k = sum_{i >= k} nbar_i; C_{ns-1} = 0
@@ -237,15 +239,16 @@ class Stepper:
         return np.clip(np.searchsorted(self.edges, sig, side="right") - 1, 0, len(self.edges) - 2)
 
     def set_rates(self, S: np.ndarray) -> None:
-        """The interval rates r at S and the coefficients B = lam - h r, A = B + (1 - 2 lam); after
-        a first full step-kind fill only rows min(k_old, k) .. max(k_old, k) + 1 change."""
+        """The rates r at S and the coefficients B = lam - h r, A = B + 1 - 2 lam, clamped at 0;
+        after a first full step-kind fill only rows min(k_old, k) .. max(k_old, k) + 1 change."""
         model, lam, h = self.model, self.lam, self.h
         sig = model.sigma(S)
         k = self.threshold_cell(sig) if model.kind == "step" else None
         if self.cells is None:
             model.interval_rates(self.age, S, out=self.rates)
             np.subtract(lam, np.multiply(self.rates, h, out=self.B), out=self.B)
-            np.add(self.B, 1.0 - 2.0 * lam, out=self.A)
+            np.maximum(self.B, 0.0, out=self.B)
+            np.maximum(np.add(self.B, 1.0 - 2.0 * lam, out=self.A), self.A_floor, out=self.A)
         else:
             lo = np.minimum(k, self.cells)
             width = int((np.maximum(k, self.cells) - lo).max()) + 2
@@ -253,8 +256,8 @@ class Stepper:
             cols = np.arange(len(k))
             rates = np.clip((self.edges[rows + 1] - sig) / self.age.ds, 0.0, 1.0) * model.p_inf
             self.rates[rows, cols] = rates
-            self.B[rows, cols] = b = lam - rates * h
-            self.A[rows, cols] = b + (1.0 - 2.0 * lam)
+            self.B[rows, cols] = b = np.maximum(lam - rates * h, 0.0)
+            self.A[rows, cols] = np.maximum(b + (1.0 - 2.0 * lam), self.A_floor)
         self.cells = k
 
     def flux(self) -> np.ndarray:

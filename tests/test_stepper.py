@@ -98,7 +98,7 @@ def test_band_update_matches_full_fill(data):
         stepper.set_rates(S)
         rates = model.interval_rates(age, S)
         np.testing.assert_array_equal(stepper.rates, rates)
-        B = stepper.lam - rates * stepper.h
+        B = np.maximum(stepper.lam - rates * stepper.h, 0.0)
         np.testing.assert_array_equal(stepper.B, B)
         np.testing.assert_array_equal(stepper.A, B + (1.0 - 2.0 * stepper.lam))
         # the positivity guard reads the maximum off the last row; where it
@@ -165,6 +165,18 @@ def test_mass_conserved_at_half_cfl(data):
         assert np.all(np.isfinite(N)) and N.min() >= 0.0
     assert np.abs(n.mass() - m0).max() <= 1e-12 * max(1.0, float(m0.max()))
     assert n.min_value() >= 0.0
+
+
+def test_positivity_boundary_leaves_no_negative_round_off():
+    # ds * p_inf = 2 and lam = 1/2 put both update coefficients exactly at 0 on
+    # the firing rows; unclamped, they round to -1.1e-16 and so do the densities
+    age, space = AgeGrid(ns=11, s_max=17.38441727066412), SpatialGrid(nx=1)
+    model = FiringRateModel(kind="smooth", p_inf=2.0 / age.ds, sigma=SigmaMap("identity"),
+                            p_star=0.0, s_star=age.s_max, theta=1.0)
+    cfg = SolverConfig(dt=0.05 * age.ds / 2, epsilon=0.05)
+    n = DensityField(np.ones((age.ns, 1)), age, space)
+    n, _ = linear_step(n, np.zeros(1), model, cfg)
+    assert n.values[2:].tolist() == [[0.0]] * (age.ns - 2)
 
 
 def test_nan_density_raises():
