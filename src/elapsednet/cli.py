@@ -43,11 +43,11 @@ from .limit import epsilon_study, limit_run
 from .models import ModelError
 from .output import OutputSink, fmt, kernel_table, write_record
 from .presets import get_preset, list_presets
-from .renewal import CFLError, NegativeDensityError, large_input_run, nonlinear_run
+from .renewal import CFLError, NegativeDensityError, OracleError, large_input_run, nonlinear_run
 from .stationary import StationaryProblem, default_multistart, solve_stationary
 
-SOLVER_ERRORS = (CFLError, NegativeDensityError, PicardError, GridError,
-                 ModelError, ConfigError, ValueError, RuntimeError)
+SOLVER_ERRORS = (CFLError, NegativeDensityError, PicardError, OracleError, GridError,
+                 ModelError, ConfigError)
 
 # command-line flag (argparse dest) -> config key
 _FLAG_KEYS = {"t_end": "t_end", "epsilon": "epsilon", "save_every": "save_every",
@@ -222,7 +222,7 @@ class Command(NamedTuple):
     out: str  # output directory when neither --out nor a preset names one
     solve: Callable  # (experiment, args) -> result; may raise SOLVER_ERRORS
     # (experiment, result, sink) -> (summary lines, stdout template with {files}
-    # and {directory}, or None to echo the summary)
+    # and {directory}, or None to echo the summary); may raise SOLVER_ERRORS
     report: Callable
     adjust: Callable | None = None  # config -> config, before the build
 
@@ -250,7 +250,9 @@ COMMANDS = {
 
 
 def run_command(args) -> int:
-    """Load, adjust and build the experiment, solve, then write the summary and MANIFEST."""
+    """Load, adjust and build the experiment, solve and report, then write the summary
+    and MANIFEST; one of SOLVER_ERRORS from the solve or the report leaves an
+    incomplete MANIFEST and exit code 1."""
     command = COMMANDS[args.command]
     cfg = _load_config(args)
     if command.adjust is not None:
@@ -258,12 +260,11 @@ def run_command(args) -> int:
     exp = build_experiment(cfg)
     sink = _sink_for(cfg, command.out)
     try:
-        result = command.solve(exp, args)
+        lines, stdout = command.report(exp, command.solve(exp, args), sink)
     except SOLVER_ERRORS as exc:
         sink.write_manifest(status="incomplete", error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    lines, stdout = command.report(exp, result, sink)
     summary = [f"[{args.command}]", *lines]
     sink.write_text("summary.txt", "\n".join(summary) + "\n")
     sink.write_manifest()

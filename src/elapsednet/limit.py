@@ -22,7 +22,7 @@ import numpy as np
 
 from .fixedpoint import PicardError, damped_fixed_point
 from .grids import AgeGrid, ConnectivityKernel, DensityField
-from .models import (FiringRateModel, InputModel, LearningRule, lipschitz_F,
+from .models import (FiringRateModel, InputModel, LearningRule, ModelError, lipschitz_F,
                      stimulation_bounds, survival_F)
 from .renewal import PicardOptions, Recorder, RunRecord, SolverConfig, nonlinear_run
 
@@ -144,7 +144,7 @@ def epsilon_study(
     """
     eps = tuple(float(e) for e in eps_list)
     if not eps or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError(f"epsilons must be positive and decreasing, got {eps}")
+        raise ModelError(f"epsilons must be positive and decreasing, got {eps}")
     age, space = n0.age, n0.space
     g = n0.mass()
 

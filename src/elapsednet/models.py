@@ -73,7 +73,7 @@ class SigmaMap:
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
-    u = np.clip(u, 0.0, 1.0)
+    u = np.minimum(np.maximum(u, 0.0), 1.0)
     return u * u * (3.0 - 2.0 * u)
 
 
@@ -164,16 +164,17 @@ class FiringRateModel:
     def cumulative_hazard(self, s: np.ndarray, S) -> np.ndarray:
         """Integral of p(u, S) for u in [0, s]; closed form for the step kind."""
         s = np.asarray(s, dtype=float)
-        sig = np.asarray(self.sigma(S), dtype=float)
         if self.kind == "step":
+            sig = np.asarray(self.sigma(S), dtype=float)
             if sig.ndim == 0:
                 return self.p_inf * np.maximum(s - sig, 0.0)
             return self.p_inf * np.maximum(s[:, None] - sig[None, :], 0.0)
-        p = self.evaluate(s[:, None] if sig.ndim else s, S)
-        out = np.zeros_like(p)
-        ds = np.diff(s)
+        p = self.evaluate(s[:, None] if np.ndim(S) else s, S)
+        out = np.empty_like(p)
+        out[:1] = 0.0
+        ds = s[1:] - s[:-1]
         steps = 0.5 * (p[1:] + p[:-1]) * (ds[:, None] if p.ndim == 2 else ds)
-        out[1:] = np.cumsum(steps, axis=0)
+        np.cumsum(steps, axis=0, out=out[1:])
         return out
 
     def limit_model(self) -> "FiringRateModel":
@@ -233,6 +234,9 @@ def survival_F(model: FiringRateModel, S):
     p_inf, s_star <= sigma).  The error of the trapezoid hazard grows like
     p_inf theta / n^2 on n intervals, so the ramp gets RAMP_INTERVALS times
     ceil(sqrt(p_inf theta)) of them (at most MAX_RAMP_REFINE times).
+
+    All points share one (points x nodes) array pass; only H is formed per
+    point.  A scalar S gives a float.
     """
     if model.p_inf <= 0:
         raise ModelError("survival_F undefined for a vanishing rate p_inf")
@@ -240,26 +244,42 @@ def survival_F(model: FiringRateModel, S):
         sig = model.sigma(S)
         return 1.0 / (1.0 / model.p_inf + sig)
     S_arr = np.asarray(S, dtype=float)
-    if S_arr.ndim:
-        return np.array([survival_F(model, float(v)) for v in S_arr])
-    sig, theta, p_star, s_star = float(model.sigma(S_arr)), model.theta, model.p_star, model.s_star
+    S_flat = S_arr.reshape(-1)
+    theta, p_star, s_star = model.theta, model.p_star, model.s_star
+    sig = model.sigma(S_flat)
     s_on = max(s_star, 0.0)  # the floor holds on (s_on, sigma)
-    x = max(sig - s_on, 0.0)
+    x = np.maximum(sig - s_on, 0.0)
     z = p_star * x  # ratio first: (1 - e^{-z}) / p_star fails once z underflows
-    below = min(sig, s_on) + (x * (-math.expm1(-z) / z) if z > 0 else x)
+    ratio = np.divide(-np.expm1(-z), z, out=np.ones_like(z), where=z > 0)
+    below = np.minimum(sig, s_on) + x * ratio
     intervals = RAMP_INTERVALS * math.ceil(min(math.sqrt(model.p_inf * theta), MAX_RAMP_REFINE))
-    window = sig + theta * _ramp_unit(intervals)
-    split = sig <= s_star < sig + theta
-    if split:
-        window = np.sort(np.append(window, (s_star, np.nextafter(s_star, np.inf))))
-    hazard = p_star * x + model.cumulative_hazard(window, float(S_arr))
+    windows = np.empty((S_flat.size, intervals + 3))
+    np.add(sig[:, None], theta * _ramp_unit(intervals), out=windows[:, :-2])
+    windows[:, -2:] = windows[:, -3:-2]  # zero-width, or s_star's nodes on a split ramp
+    split = (sig <= s_star) & (s_star < sig + theta)
+    if split.any():
+        windows[split, -2:] = (s_star, np.nextafter(s_star, np.inf))
+        windows[split] = np.sort(windows[split], axis=1)
+    hazard = np.empty_like(windows)
+    for k, S_k in enumerate(S_flat.tolist()):
+        hazard[k] = model.cumulative_hazard(windows[k], S_k)
+    hazard += (p_star * x)[:, None]
     # e^{-H} integrated exactly between nodes with H linear there:
-    # h e^{-H_a} (1 - e^{-rise}) / rise, whose limit at rise = 0 the 1e-300 gives
-    rise = np.diff(hazard) + 1e-300
-    weights = -np.expm1(-rise) / rise
-    weights *= np.diff(window) if split else theta / intervals
-    survival = np.exp(-hazard)
-    return 1.0 / (below + float(survival[:-1] @ weights) + survival[-1] / model.p_inf)
+    # h e^{-H_a} (1 - e^{-rise}) / rise, whose limit at rise = 0 the 1e-300 gives;
+    # formed in place, so that at most four (points x nodes) arrays are alive
+    rise = hazard[:, 1:] - hazard[:, :-1]
+    rise += 1e-300
+    weights = np.negative(rise)
+    np.expm1(weights, out=weights)
+    np.negative(weights, out=weights)
+    weights /= rise
+    h = np.subtract(windows[:, 1:], windows[:, :-1], out=rise)
+    h[~split, :-2] = theta / intervals  # the uniform width itself, not a difference of nodes
+    weights *= h
+    survival = np.exp(np.negative(hazard, out=hazard), out=hazard)
+    ramp = (survival[:, None, :-1] @ weights[:, :, None])[:, 0, 0]
+    F = 1.0 / (below + ramp + survival[:, -1] / model.p_inf)
+    return float(F[0]) if S_arr.ndim == 0 else F.reshape(S_arr.shape)
 
 
 def F_bounds(model: FiringRateModel, S_lo: float, S_hi: float,

@@ -38,7 +38,7 @@ import numpy as np
 
 from .fixedpoint import PicardError, damped_fixed_point
 from .grids import AgeGrid, ConnectivityKernel, DensityField, GridError, SpatialGrid
-from .models import FiringRateModel, InputModel, LearningRule, stimulation_bounds
+from .models import FiringRateModel, InputModel, LearningRule, ModelError, stimulation_bounds
 
 
 class CFLError(RuntimeError):
@@ -156,7 +156,7 @@ class Recorder:
                  save_every: float | None = None, snapshot_times: tuple[float, ...] = ()):
         self.n_steps = int(round(t_end / dt))
         if abs(self.n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-            raise ValueError(f"t_end = {t_end} is not a multiple of dt = {dt}")
+            raise GridError(f"t_end = {t_end} is not a multiple of dt = {dt}")
         self.space, self.age, self.dt = space, age, dt
         self.stride = max(1, int(round((t_end if save_every is None else save_every) / dt)))
         self.snap_steps = {int(round(ts / dt)) for ts in snapshot_times} | {self.n_steps}
@@ -626,10 +626,10 @@ def large_input_run(
     """
     I_vals = input_model.evaluate(n0.space)
     if np.min(I_vals) <= 0:
-        raise ValueError("large-input study requires I(x) > 0 on the grid")
+        raise ModelError("large-input study requires I(x) > 0 on the grid")
     ks = tuple(float(k) for k in k_values)
     if not ks or any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError(f"k values must be positive and increasing, got {ks}")
+        raise ModelError(f"k values must be positive and increasing, got {ks}")
     if not sample_times:
         sample_times = (t_end,)
 

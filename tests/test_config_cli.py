@@ -13,6 +13,7 @@ from elapsednet.config import (
     serialize_config,
     with_overrides,
 )
+from elapsednet.models import ModelError
 from elapsednet.presets import PRESETS, get_preset, list_presets
 
 
@@ -305,6 +306,28 @@ class TestCLI:
         monkeypatch.setattr(cli, "build_experiment", broken_build)
         with pytest.raises(KeyError):
             run_cli("run", "--preset", "g1i1c")
+
+    def test_runtime_error_from_a_bug_is_not_a_solver_error(self, monkeypatch, tmp_path):
+        def broken_solve(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "nonlinear_run", broken_solve)
+        with pytest.raises(RuntimeError, match="bug"):
+            run_cli("run", "--preset", "g1i1c", "--out", str(tmp_path / "out"))
+
+    @pytest.mark.filterwarnings("ignore:absorbing-node mass")
+    @pytest.mark.filterwarnings("ignore:initial density carries")
+    def test_report_stage_model_error_is_incomplete(self, monkeypatch, tmp_path, capsys):
+        def refusing_certificates(*args, **kwargs):
+            raise ModelError("survival_F undefined for a vanishing rate p_inf")
+
+        monkeypatch.setattr(cli, "regime_certificates", refusing_certificates)
+        out = tmp_path / "out"
+        code = run_cli("run", "--preset", "g1i1c", "--t-end", "0.25", "--out", str(out))
+        assert code == 1 and "Traceback" not in capsys.readouterr().err
+        manifest = (out / "MANIFEST").read_text()
+        assert "status = incomplete" in manifest and "vanishing rate" in manifest
+        assert not (out / "summary.txt").exists()
 
     @pytest.mark.filterwarnings("ignore:absorbing-node mass")
     @pytest.mark.filterwarnings("ignore:initial density carries")

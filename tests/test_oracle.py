@@ -1,7 +1,10 @@
 """The characteristics oracle's survivor sum, its renewal marching and the
 smooth-rate survival normalization F: agreement with the direct sums they
 replaced and with closed forms, finiteness where exp(-hazard) underflows,
-and monotonicity."""
+monotonicity, and agreement of the batched F and hazard with their
+per-point values."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from hypothesis.extra import numpy as hnp
 from elapsednet.config import build_experiment, with_overrides
 from elapsednet.diagnostics import doeblin_check
 from elapsednet.grids import AgeGrid, DensityField, SpatialGrid
-from elapsednet.models import FiringRateModel, ModelError, SigmaMap, survival_F
+from elapsednet.models import (MAX_RAMP_REFINE, RAMP_INTERVALS, FiringRateModel, ModelError,
+                               SigmaMap, survival_F)
 from elapsednet.presets import get_preset
 from elapsednet.renewal import _survivor_sum, characteristics_oracle
 
@@ -215,6 +219,79 @@ def test_smooth_survival_F_non_increasing(case, dS):
     model, S = case
     F = np.asarray(survival_F(model, S + np.cumsum(dS)))
     assert np.all(np.diff(F) <= 1e-12 * F[:-1])
+
+
+@st.composite
+def smooth_batch_cases(draw):
+    """A smooth model and 0-12 values of S, each putting s_star above the ramp,
+    inside it or below sigma: S = s_star + theta v with v <= -1, in (-1, 0] or > 0."""
+    p_inf = draw(st.floats(0.1, 5.0))
+    theta = draw(st.floats(0.01, 2.0))
+    s_star = draw(st.floats(0.0, 8.0))
+    model = FiringRateModel(kind="smooth", p_inf=p_inf, sigma=SigmaMap("identity"),
+                            p_star=draw(st.floats(0.0, 1.0)) * p_inf, s_star=s_star,
+                            theta=theta)
+    v = draw(st.lists(st.one_of(st.floats(-4.0, -1.0), st.floats(-1.0, 0.0, exclude_min=True),
+                                st.floats(0.0, 4.0, exclude_min=True)), max_size=12))
+    return model, s_star + theta * np.array(v, dtype=float)
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=smooth_batch_cases())
+def test_batched_survival_F_matches_pointwise(case):
+    model, S = case
+    F = survival_F(model, S)
+    pointwise = [survival_F(model, s) for s in S]
+    assert isinstance(F, np.ndarray) and F.shape == S.shape
+    assert all(type(f) is float for f in pointwise)
+    pointwise = np.array(pointwise)
+    # Both paths run the same IEEE operations on the same values; only the
+    # library paths of exp/expm1 and the order of the ramp's dot product may
+    # differ between an array and a single point.  With exp and expm1 each
+    # within 4 ulps, so 8 eps apart, a ramp summand (exp, expm1, then a
+    # division and two products) differs by at most 19 eps; the m positive
+    # summands, summed in two orders, by (m - 1) eps more; the two additions
+    # of 1/F and the reciprocal add 3 eps.
+    m = RAMP_INTERVALS * math.ceil(min(math.sqrt(model.p_inf * model.theta),
+                                       MAX_RAMP_REFINE)) + 2
+    bound = (m + 21) * np.finfo(float).eps
+    assert np.all(np.abs(F - pointwise) <= bound * pointwise)
+    for S_0 in S[:1]:
+        assert type(survival_F(model, np.array(S_0))) is float
+    empty = survival_F(model, np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+def clip_smooth_hazard(model, s, S):
+    """The smooth cumulative hazard as written before the trims: np.clip in
+    the smoothstep, np.diff steps and a cumsum assigned into np.zeros_like."""
+    s = np.asarray(s, dtype=float)
+    sig = np.asarray(model.sigma(S), dtype=float)
+    nodes = s[:, None] if sig.ndim else s
+    u = np.clip((nodes - sig) / model.theta, 0.0, 1.0)
+    p = np.maximum(model.p_inf * (u * u * (3.0 - 2.0 * u)),
+                   np.where(nodes > model.s_star, model.p_star, 0.0))
+    out = np.zeros_like(p)
+    ds = np.diff(s)
+    out[1:] = np.cumsum(0.5 * (p[1:] + p[:-1]) * (ds[:, None] if p.ndim == 2 else ds), axis=0)
+    return out
+
+
+@settings(deadline=None)
+@given(model=st.floats(0.0, 5.0).flatmap(rate_models),
+       s=hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(0.0, 20.0)),
+       S=hnp.arrays(np.float64, st.integers(1, 4), elements=st.floats(-2.0, 12.0)))
+def test_cumulative_hazard_columns_match_single_S(model, s, S):
+    s = np.sort(s)
+    H = model.cumulative_hazard(s, S)
+    assert H.shape == (s.size, S.size)
+    for j in range(S.size):
+        H_j = model.cumulative_hazard(s, S[j])
+        np.testing.assert_array_equal(H[:, j], H_j)
+        if model.kind == "smooth":
+            np.testing.assert_array_equal(H_j, clip_smooth_hazard(model, s, S[j]))
+    if model.kind == "smooth":
+        np.testing.assert_array_equal(H, clip_smooth_hazard(model, s, S))
 
 
 def test_smooth_survival_F_rejects_vanishing_rate():
