@@ -24,10 +24,7 @@ from .grids import (
     DensityField,
     GridError,
     SpatialGrid,
-    age_integral,
-    kernel_apply,
     norms,
-    scalar_norms,
 )
 from .limit import EpsilonStudy, epsilon_study, inner_fixed_point, limit_run
 from .models import (
@@ -36,7 +33,6 @@ from .models import (
     LearningRule,
     ModelError,
     SigmaMap,
-    lipschitz_F,
     stimulation_bounds,
     survival_F,
 )

@@ -184,7 +184,7 @@ def _report_doeblin(exp: Experiment, report, sink: OutputSink):
 def _solve_epsilon_study(exp: Experiment, args):
     cfg = exp.config
     return epsilon_study(cfg.epsilon_list, exp.n0, exp.w0, exp.model, exp.rule,
-                         exp.input_model, T=cfg.t_end)
+                         exp.input_model, T=cfg.t_end, picard=exp.solver.picard)
 
 
 def _report_epsilon_study(exp: Experiment, study, sink: OutputSink):
@@ -233,8 +233,7 @@ COMMANDS = {
     "limit": Command("integrate the slow-learning limit system", "limit_output",
                      _solve_limit,
                      lambda exp, record, sink: (_record_lines(sink, record)
-                                                + _certificate_lines(exp), _WROTE_FILES),
-                     adjust=lambda cfg: with_overrides(cfg, system="limit")),
+                                                + _certificate_lines(exp), _WROTE_FILES)),
     "stationary": Command("solve the stationary fixed point", "stationary_output",
                           _solve_stationary, _report_stationary),
     "doeblin": Command("check the minorization bound of the frozen dynamics", "doeblin_output",

@@ -41,13 +41,11 @@ class ExperimentConfig:
     t_end: float = 25.0
     save_every: float = 0.25
     epsilon: float = 1.0
-    system: str = "full"  # 'full' or 'limit'
     # per-step stimulation coupling
     picard: str = "lagged"
     picard_tol: float = 1e-10
     picard_max_iters: int = 200
     picard_damping: float = 0.5
-    cfl_guard: bool = True
     # firing rate
     rate: str = "step"
     p_inf: float = 1.0
@@ -82,7 +80,6 @@ class ExperimentConfig:
 
 
 _CHOICES = {
-    "system": ("full", "limit"),
     "picard": ("lagged", "iterate"),
     "rate": ("step", "smooth"),
     "sigma": ("identity", "bounded", "constant"),
@@ -104,12 +101,6 @@ def _parse_value(key: str, raw: str, target_type, line: int):
     if raw in ("none", "auto", ""):
         return None
     try:
-        if target_type is bool:
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if target_type is int:
             return int(raw)
         if target_type is float:
@@ -123,7 +114,7 @@ def _parse_value(key: str, raw: str, target_type, line: int):
 
 # each key's base type from its annotation ("tuple[float, ...] | None" -> tuple);
 # a key annotated "| None" is optional
-_BASE_TYPES = {"int": int, "float": float, "bool": bool, "str": str, "tuple": tuple}
+_BASE_TYPES = {"int": int, "float": float, "str": str, "tuple": tuple}
 _FIELD_TYPES = {f.name: _BASE_TYPES[f.type.removesuffix(" | None").split("[")[0]]
                 for f in fields(ExperimentConfig)}
 _OPTIONAL = {f.name for f in fields(ExperimentConfig) if f.type.endswith(" | None")}
@@ -159,8 +150,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         value = getattr(cfg, f.name)
         if value is None:
             rendered = "auto" if f.name in ("dt", "p_star", "s_star") else "none"
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
         elif isinstance(value, tuple):
             rendered = ",".join(repr(float(v)) for v in value)
         elif isinstance(value, float):
@@ -174,6 +163,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 def validate_config(cfg: ExperimentConfig) -> None:
     for key, kind in _FIELD_TYPES.items():
         value = getattr(cfg, key)
+        if value == ():  # it would serialize as the empty value, which reads as the default
+            raise ConfigError("must not be empty", key=key)
         if kind in (float, tuple) and value is not None:
             if not all(map(math.isfinite, value if kind is tuple else (value,))):
                 raise ConfigError(f"not a finite number: {value!r}", key=key)
@@ -291,7 +282,7 @@ def build_experiment(cfg: ExperimentConfig) -> Experiment:
                     cfg.picard_max_iters, cfg.picard_damping)
     # validate_config bounds dt from above only
     solver = _built("dt", SolverConfig, dt=cfg.resolved_dt(), epsilon=cfg.epsilon,
-                    picard=picard, cfl_guard=cfg.cfl_guard)
+                    picard=picard)
 
     I_vals = _built("input_table", input_model.evaluate, space)
     g = n0.mass()

@@ -37,15 +37,14 @@ def fit_decay(
     times: np.ndarray,
     distances: np.ndarray,
     window: tuple[float, float] | None = None,
-    floor: float | None = None,
 ) -> DecayFit:
     """Least-squares line on (t, log d(t)); lambda_hat is minus the slope.
 
-    Samples at or below the floor are excluded.  With floor=None the floor
-    is max(1e-13, 2 * min d) so that both round-off and any discrete
-    equilibrium plateau are excluded and only the decaying segment is fit;
-    the fitted rate is the empirical counterpart of the exponential
-    convergence estimates, whose constants the fit intercept absorbs.
+    Samples at or below the floor max(1e-13, 2 * min d) are excluded, so
+    that both round-off and any discrete equilibrium plateau are excluded
+    and only the decaying segment is fit; the fitted rate is the empirical
+    counterpart of the exponential convergence estimates, whose constants
+    the fit intercept absorbs.
     """
     times = np.asarray(times, dtype=float)
     distances = np.asarray(distances, dtype=float)
@@ -58,9 +57,7 @@ def fit_decay(
     if window is not None:
         mask &= (times >= window[0]) & (times <= window[1])
     positive = distances[mask & (distances > 0)]
-    if floor is None:
-        floor = max(ROUNDOFF_FLOOR, 2.0 * (positive.min() if positive.size else 0.0))
-        floor = max(floor, ROUNDOFF_FLOOR)
+    floor = max(ROUNDOFF_FLOOR, 2.0 * (positive.min() if positive.size else 0.0))
     mask &= distances > floor
     if mask.sum() < 5:
         raise FitError(f"only {int(mask.sum())} usable samples above the floor {floor:.3e}")

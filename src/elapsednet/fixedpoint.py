@@ -16,6 +16,9 @@ class PicardError(RuntimeError):
         self.residual = residual
 
 
+MIN_DAMPING = 1.0 / 64.0
+
+
 @dataclass
 class PicardResult:
     value: np.ndarray
@@ -31,12 +34,11 @@ def damped_fixed_point(
     tol: float,
     max_iters: int = 200,
     damping: float = 1.0,
-    min_damping: float = 1.0 / 64.0,
 ) -> PicardResult:
     """Iterate x <- (1 - w) x + w map(x) until the sup-residual drops below tol.
 
     The damping w starts at `damping` and is halved whenever the residual
-    increases (down to `min_damping`), which keeps oscillating inhibitory
+    increases (down to MIN_DAMPING), which keeps oscillating inhibitory
     maps convergent well outside the proved contraction regime.
     """
     if tol <= 0:
@@ -52,8 +54,8 @@ def damped_fixed_point(
         if residual < tol:
             return PicardResult(fx, residual, it, True, history)
         # non-improving residuals include period-2 cycles, so halve on >= too
-        if residual >= last and w > min_damping:
-            w = max(0.5 * w, min_damping)
+        if residual >= last and w > MIN_DAMPING:
+            w = max(0.5 * w, MIN_DAMPING)
         last = residual
         x = (1.0 - w) * x + w * fx
     return PicardResult(x, last, max_iters, False, history)

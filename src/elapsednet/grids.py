@@ -92,20 +92,11 @@ class AgeGrid:
         w[-1] = 0.5 * self.ds
         return w
 
-    def integrate(self, values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    def integrate(self, values: np.ndarray) -> np.ndarray:
         """Trapezoid quadrature over age; `values` is (ns,) or (ns, nx)."""
         values = np.asarray(values, dtype=float)
         if values.shape[0] != self.ns:
             raise GridError(f"expected leading axis {self.ns}, got shape {values.shape}")
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape[0] != self.ns:
-                raise GridError(
-                    f"weights must have {self.ns} entries, got {weights.shape[0]}"
-                )
-            if weights.ndim < values.ndim:
-                weights = weights[:, None]
-            values = values * weights
         out = np.tensordot(self.weights, values, axes=(0, 0))
         return float(out) if out.ndim == 0 else out
 
@@ -137,10 +128,6 @@ class DensityField:
         x = space.nodes[None, :]
         return cls(np.asarray(fn(s, x), dtype=float) * np.ones((age.ns, space.nx)), age, space)
 
-    @classmethod
-    def zeros(cls, age: AgeGrid, space: SpatialGrid) -> "DensityField":
-        return cls(np.zeros((age.ns, space.nx)), age, space)
-
     def copy(self) -> "DensityField":
         return DensityField(self.values.copy(), self.age, self.space)
 
@@ -155,9 +142,6 @@ class DensityField:
             raise GridError("cannot normalize a column with nonpositive mass")
         self.values *= np.asarray(target, dtype=float) / current
         return self
-
-    def min_value(self) -> float:
-        return float(self.values.min())
 
 
 @dataclass
@@ -198,19 +182,6 @@ class ConnectivityKernel:
         return float(np.abs(self.values - self.mean()).max())
 
 
-def age_integral(f: DensityField, weights: np.ndarray | None = None) -> np.ndarray:
-    """Trapezoid age-integral of f (times optional per-age weights) at each x."""
-    return f.age.integrate(f.values, weights)
-
-
-def kernel_apply(w: ConnectivityKernel, N: np.ndarray) -> np.ndarray:
-    """Quadrature of w(x, y) N(y) over y, one value per x node."""
-    N = np.asarray(N, dtype=float)
-    if N.shape != (w.space.nx,):
-        raise GridError(f"field shape {N.shape} does not match grid ({w.space.nx},)")
-    return w.values @ (w.space.weights * N)
-
-
 def norms(a, b) -> dict[str, float]:
     """Distances between two same-shaped fields, using the module quadratures.
 
@@ -241,13 +212,3 @@ def norms(a, b) -> dict[str, float]:
             "kernel_mean_deviation": diff.deviation_from_mean(),
         }
     raise GridError(f"unsupported field pair: {type(a).__name__}, {type(b).__name__}")
-
-
-def scalar_norms(space: SpatialGrid, a: np.ndarray, b: np.ndarray) -> dict[str, float]:
-    """L1 and Linf distances between two per-x fields."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.shape != (space.nx,):
-        raise GridError(f"field shape mismatch: {a.shape} vs {b.shape}")
-    diff = np.abs(a - b)
-    return {"L1": float(space.integrate(diff)), "Linf": float(diff.max())}

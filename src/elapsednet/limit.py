@@ -15,16 +15,16 @@ outside that regime.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fixedpoint import PicardError, damped_fixed_point
 from .grids import AgeGrid, ConnectivityKernel, DensityField
-from .models import (FiringRateModel, InputModel, LearningRule, ModelError, lipschitz_F,
-                     stimulation_bounds, survival_F)
+from .models import FiringRateModel, InputModel, LearningRule, ModelError, survival_F
 from .renewal import PicardOptions, Recorder, RunRecord, SolverConfig, nonlinear_run
+
+INNER_MAX_ITERS = 500
 
 
 def inner_fixed_point(
@@ -34,10 +34,10 @@ def inner_fixed_point(
     I_t: np.ndarray,
     S_guess: np.ndarray | None = None,
     tol: float = 1e-12,
-    max_iters: int = 500,
     damping: float = 1.0,
 ) -> np.ndarray:
-    """Solve S = integral(w g F(S)) + I by damped Picard from S_guess."""
+    """Solve S = integral(w g F(S)) + I by damped Picard from S_guess in at most
+    INNER_MAX_ITERS iterations."""
     wq = w.values * w.space.weights[None, :]
     gv = np.asarray(g, dtype=float)
 
@@ -45,7 +45,7 @@ def inner_fixed_point(
         return wq @ (gv * np.asarray(survival_F(model, S))) + I_t
 
     start = I_t if S_guess is None else np.asarray(S_guess, dtype=float)
-    result = damped_fixed_point(apply_map, start, tol, max_iters, damping)
+    result = damped_fixed_point(apply_map, start, tol, INNER_MAX_ITERS, damping)
     if not result.converged:
         raise PicardError(
             f"inner stimulation fixed point stalled at residual {result.residual:.3e} "
@@ -53,13 +53,6 @@ def inner_fixed_point(
             result.residual,
         )
     return result.value
-
-
-def uniqueness_certificate(
-    w0_max: float, gamma: float, model: FiringRateModel, S_lo: float, S_hi: float
-) -> bool:
-    """Sufficient uniqueness condition max(||w0||, gamma) ||F'|| < 1."""
-    return max(w0_max, gamma) * lipschitz_F(model, S_lo, S_hi) < 1.0
 
 
 def limit_run(
@@ -74,21 +67,16 @@ def limit_run(
     save_every: float | None = None,
     snapshot_times: tuple[float, ...] = (),
     inner_tol: float = 1e-12,
-    warn_certificate: bool = True,
 ) -> RunRecord:
-    """Integrate the limit system: inner fixed point, then kernel relaxation."""
+    """Integrate the limit system: inner fixed point, then kernel relaxation.
+
+    Uniqueness of the inner fixed point is guaranteed when
+    max(||w0||, gamma) ||F'|| < 1, the `limit_uniqueness` regime certificate;
+    outside it the damped inner iteration reports what it finds.
+    """
     space = w0.space
     I_vals = input_model.evaluate(space)
     g = np.asarray(g, dtype=float)
-    S_lo, S_hi = stimulation_bounds(model, rule, float(w0.values.max()), float(g.max()), I_vals)
-    if warn_certificate and not uniqueness_certificate(
-        float(w0.values.max()), rule.gamma, model, S_lo, max(S_hi, S_lo + 1e-9)
-    ):
-        warnings.warn(
-            "limit-system uniqueness certificate max(||w0||, gamma) ||F'|| < 1 fails; "
-            "the damped inner iteration reports what it finds",
-            stacklevel=2,
-        )
     recorder = Recorder(space, age, dt, t_end, save_every, snapshot_times)
     decay = np.exp(-dt)
 
@@ -129,7 +117,6 @@ def epsilon_study(
     rule: LearningRule,
     input_model: InputModel,
     T: float,
-    observe_stride: int = 2,
     picard=None,
 ) -> EpsilonStudy:
     """Distances between the rescaled runs and the limit solution on [0, T].
@@ -137,10 +124,10 @@ def epsilon_study(
     All epsilon runs share the same grids so scheme error cancels in the
     ratios; each run uses dt = eps * ds / 2 (the exact-mass step) and the
     limit reference is integrated with the smallest of those steps.  The
-    time integrals are accumulated on the fly every `observe_stride` solver
-    steps, which resolves the width-O(eps) initial layer at every epsilon
-    without storing density snapshots.  The reported order is the log-log
-    slope of the density distance against epsilon.
+    time integrals are accumulated on the fly every other solver step, which
+    resolves the width-O(eps) initial layer at every epsilon without storing
+    density snapshots.  The reported order is the log-log slope of the
+    density distance against epsilon.
     """
     eps = tuple(float(e) for e in eps_list)
     if not eps or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
@@ -151,23 +138,20 @@ def epsilon_study(
     dt_limit = min(eps) * age.ds / 2.0
     limit_rec = limit_run(
         w0.copy(), g, model, rule, input_model, age, dt_limit, T,
-        save_every=dt_limit, snapshot_times=(), warn_certificate=False,
+        save_every=dt_limit, snapshot_times=(),
     )
 
     dist_n = np.zeros(len(eps))
     dist_N = np.zeros(len(eps))
     records: dict[float, RunRecord] = {}
-    xw = space.weights
-    aw = age.weights
 
     for i, e in enumerate(eps):
         opts = picard if picard is not None else PicardOptions()
-        dt = e * age.ds / 2.0
-        cfg = SolverConfig(dt=dt, epsilon=e, picard=opts)
-        acc = _DistanceAccumulator(limit_rec, model, age, space, g, xw, aw)
+        cfg = SolverConfig(dt=e * age.ds / 2.0, epsilon=e, picard=opts)
+        acc = _DistanceAccumulator(limit_rec, model, age, space, g, cfg.dt, T)
         rec = nonlinear_run(
             n0.copy(), w0.copy(), model, rule, input_model, cfg, T,
-            save_every=T, observer=acc, observe_stride=observe_stride,
+            save_every=T, observer=acc,
         )
         records[e] = rec
         dist_n[i], dist_N[i] = acc.totals()
@@ -180,21 +164,26 @@ def epsilon_study(
 
 
 class _DistanceAccumulator:
-    """Trapezoid-in-time accumulation of |N - N_bar| and |n - n_bar| integrals."""
+    """Trapezoid-in-time accumulation of |N - N_bar| and |n - n_bar| integrals,
+    sampled at every other step of a run of step dt to t_end and at its last."""
 
-    def __init__(self, limit_rec: RunRecord, model, age, space, g, xw, aw):
+    def __init__(self, limit_rec: RunRecord, model, age, space, g, dt: float, t_end: float):
         self.limit_rec = limit_rec
         self.model = model
         self.age = age
-        self.space = space
         self.g = g
-        self.xw = xw
-        self.aw = aw
+        self.xw = space.weights
+        self.aw = age.weights
+        self.dt = dt
+        self.last = int(round(t_end / dt))
         self.samples_t: list[float] = []
         self.samples_N: list[float] = []
         self.samples_n: list[float] = []
 
-    def __call__(self, t: float, values: np.ndarray, N: np.ndarray, S: np.ndarray) -> None:
+    def __call__(self, step: int, values: np.ndarray, N: np.ndarray, S: np.ndarray) -> None:
+        if step % 2 and step != self.last:
+            return
+        t = step * self.dt
         steps = int(round(t / (self.limit_rec.times[1] - self.limit_rec.times[0])))
         steps = min(steps, len(self.limit_rec.times) - 1)
         N_bar = self.limit_rec.N_series[steps]

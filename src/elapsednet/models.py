@@ -292,11 +292,6 @@ def F_bounds(model: FiringRateModel, S_lo: float, S_hi: float,
     return float(slopes.max() * 1.05), float(F_vals.max())
 
 
-def lipschitz_F(model: FiringRateModel, S_lo: float, S_hi: float, n: int = 201) -> float:
-    """Conservative sampled bound on |F'| over [S_lo, S_hi] (max x 1.05)."""
-    return F_bounds(model, S_lo, S_hi, n)[0]
-
-
 @dataclass(frozen=True)
 class LearningRule:
     """Symmetric learning rule G and connectivity gain gamma.

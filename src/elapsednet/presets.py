@@ -1,11 +1,11 @@
 """Named experiment presets.
 
-Six parameter sets are provided, each in full-system and limit-system form
-(prefix ``L``).  The spatially homogeneous presets pair a constant input
-with the Hebbian rule and a flat mass profile; the inhomogeneous presets
-pair a sin^2 input with the Gaussian-sigmoid rule and a Gaussian mass
-profile.  Every preset starts from the connectivity kernel
-w0(x, y) = 10 exp(-10 (x - y)^2).
+Six parameter sets are provided, each also under an ``L``-prefixed name as
+the parameter set of the ``limit`` command.  The spatially homogeneous
+presets pair a constant input with the Hebbian rule and a flat mass
+profile; the inhomogeneous presets pair a sin^2 input with the
+Gaussian-sigmoid rule and a Gaussian mass profile.  Every preset starts
+from the connectivity kernel w0(x, y) = 10 exp(-10 (x - y)^2).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _inhomogeneous(name: str, gamma: float, amplitude: float, **grid) -> Preset:
 
 def _limit_twin(base: Preset) -> Preset:
     name = "L" + base.name
-    cfg = replace(base.config, system="limit", preset=name)
+    cfg = replace(base.config, preset=name)
     # the gamma=20 run is shown to t=75 in full form but t=25 suffices in the limit
     if base.name == "g20i5v":
         cfg = replace(cfg, t_end=25.0)

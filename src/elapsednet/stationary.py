@@ -95,13 +95,12 @@ class StationaryProblem:
 
 def solve_stationary(
     problem: StationaryProblem,
-    initial: np.ndarray | None = None,
     tol: float = 1e-12,
     max_iters: int = 10_000,
     damping: float = 1.0,
     multistart: list[np.ndarray] | None = None,
 ):
-    """Damped Picard iteration of the stationary map to residual < tol.
+    """Damped Picard iteration of the stationary map to residual < tol, from I.
 
     With `multistart` a list of initial profiles is solved independently and
     the distinct fixed points (sup-distance > 10 tol apart) are returned as a
@@ -117,7 +116,7 @@ def solve_stationary(
         return problem.reconstruct(result, certificate)
 
     if multistart is None:
-        return solve(problem.input_values if initial is None else initial)
+        return solve(problem.input_values)
     states: list[StationaryState] = []
     for start in multistart:
         state = solve(start)

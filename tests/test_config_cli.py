@@ -1,4 +1,6 @@
 import os
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from elapsednet.config import (
     serialize_config,
     with_overrides,
 )
+from elapsednet.fixedpoint import PicardError
 from elapsednet.models import ModelError
 from elapsednet.presets import PRESETS, get_preset, list_presets
+from elapsednet.renewal import PicardOptions
 
 
 class TestParseConfig:
@@ -40,6 +44,13 @@ class TestParseConfig:
             parse_config("gamma = 1.0\nnot_a_key = 3\n")
         assert err.value.line == 2
         assert err.value.key == "not_a_key"
+
+    @pytest.mark.parametrize("key, value", [("system", "limit"), ("cfl_guard", "false")])
+    def test_removed_keys_are_unknown(self, key, value, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"{key} = {value}\n")
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 2
+        assert f"key {key!r}: unknown key" in capsys.readouterr().err
 
     def test_bad_value_reports_line_and_key(self):
         with pytest.raises(ConfigError) as err:
@@ -107,7 +118,12 @@ class TestPresets:
         assert v.rule == "gaussian_sigmoid" and v.gamma == 20.0
         assert v.input == "sin_squared" and v.input_amplitude == 5.0
         assert v.t_end == 75.0
-        assert get_preset("Lg1i1c").config.system == "limit"
+        # an L preset is its base's parameter set; only Lg20i5v stops earlier
+        for name in ("g1i1c", "g20i5v"):
+            twin, base = get_preset("L" + name).config, get_preset(name).config
+            assert replace(base, preset="L" + name, t_end=twin.t_end) == twin
+        assert get_preset("Lg1i1c").config.t_end == 25.0
+        assert get_preset("Lg20i5v").config.t_end == 25.0
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError):
@@ -196,7 +212,6 @@ class TestCLI:
         text = (out / "summary.txt").read_text()
         assert "alpha" in text and "minorization margin" in text
 
-    @pytest.mark.filterwarnings("ignore:limit-system uniqueness certificate")
     def test_limit_subcommand(self, tmp_path):
         out = tmp_path / "lm"
         assert run_cli("limit", "--preset", "Lg1i1c", "--t-end", "5",
@@ -232,8 +247,8 @@ class TestCLI:
     def test_nan_run_is_incomplete(self, tmp_path, monkeypatch):
         # a NaN in a config file is refused by the parser and a NaN gain by
         # LearningRule, so the NaN is put into the built experiment's initial
-        # kernel; it carries it into S and the density, and the run must not
-        # report success
+        # kernel; the initial coupling solve then cannot converge, and the run
+        # must not report success
         build = cli.build_experiment
 
         def build_with_nan_kernel(cfg):
@@ -346,6 +361,27 @@ class TestCLI:
         assert f"file = {csv}" in manifest and "file = summary.txt" in manifest
         assert (out / "summary.txt").read_text().startswith(f"[{command}]\n")
 
+    def test_epsilon_study_takes_the_picard_flags(self, monkeypatch, tmp_path):
+        seen = {}
+
+        def capture(*args, picard=None, **kwargs):
+            seen["picard"] = picard
+            raise PicardError("captured", 0.0)
+
+        monkeypatch.setattr(cli, "epsilon_study", capture)
+        assert run_cli("epsilon-study", "--preset", "g1i1c", "--picard", "iterate",
+                       "--tol", "1e-9", "--out", str(tmp_path / "out")) == 1
+        assert seen["picard"] == PicardOptions(mode="iterate", tol=1e-9)
+
+    @pytest.mark.parametrize("picard", ["lagged", "iterate"])
+    def test_unconverged_initial_coupling_is_incomplete(self, picard, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"picard = {picard}\npicard_max_iters = 1\nt_end = 0.25\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert "stalled at t = 0 " in capsys.readouterr().err
+        assert "status = incomplete" in (out / "MANIFEST").read_text()
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_flag_is_a_config_error(self, value, tmp_path, capsys):
         out = tmp_path / "out"
@@ -366,3 +402,20 @@ def test_overrides_reject_non_finite_values(overrides, key):
     with pytest.raises(ConfigError) as err:
         with_overrides(parse_config(""), **overrides)
     assert err.value.key == key and "finite" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["epsilon_list", "input_table"])
+def test_empty_tuple_is_refused(key):
+    with pytest.raises(ConfigError) as err:
+        with_overrides(parse_config("input = table\ninput_table = 1\n"), **{key: ()})
+    assert err.value.key == key
+
+
+def test_readme_table_names_every_config_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Configuration", 1)[1].split("\n#", 1)[0]
+    first_cells = [row.split("|")[1] for row in section.splitlines() if row.startswith("| `")]
+    named = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
+    assert len(named) == len(set(named))
+    assert set(named) == {f.name for f in fields(ExperimentConfig)}

@@ -7,10 +7,7 @@ from elapsednet.grids import (
     DensityField,
     GridError,
     SpatialGrid,
-    age_integral,
-    kernel_apply,
     norms,
-    scalar_norms,
 )
 
 
@@ -50,22 +47,24 @@ class TestAgeGrid:
 
     def test_weights_shape_matches_ns(self):
         g = AgeGrid(ns=7, s_max=2.0)
+        assert g.weights.shape == (7,)
         with pytest.raises(GridError):
-            g.integrate(np.ones(7), weights=np.ones(6))
+            g.integrate(np.ones(6))
 
 
 class TestAgeIntegral:
+    # the age integral of a field at each x is its mass
     def test_zero_integrand(self):
         age, space = AgeGrid(ns=50, s_max=5.0), SpatialGrid(nx=8)
-        f = DensityField.zeros(age, space)
-        np.testing.assert_array_equal(age_integral(f), np.zeros(8))
+        f = DensityField(np.zeros((age.ns, space.nx)), age, space)
+        np.testing.assert_array_equal(f.mass(), np.zeros(8))
 
     def test_exponential_mass(self):
         # closed form: integral of exp(-s) over [0, inf) is 1; composite
         # trapezoid at h = 0.01 carries a frozen h^2/12 boundary defect
         age, space = AgeGrid(ns=4000, s_max=40.0), SpatialGrid(nx=3)
         f = DensityField.from_function(age, space, lambda s, x: np.exp(-s) + 0 * x)
-        vals = age_integral(f)
+        vals = f.mass()
         np.testing.assert_allclose(vals, 1.0000083333194445, rtol=1e-12)
         assert np.abs(vals - 1.0).max() <= 1e-5
 
@@ -74,7 +73,7 @@ class TestAgeIntegral:
         # boundary defect h^2 (x+1)^2 / 12 needs h = 1e-3 to sit below 1e-6
         age, space = AgeGrid(ns=20000, s_max=20.0), SpatialGrid(nx=16)
         f = DensityField.from_function(age, space, lambda s, x: (x + 1) * np.exp(-s * (x + 1)))
-        assert np.abs(age_integral(f) - 1.0).max() <= 1e-6
+        assert np.abs(f.mass() - 1.0).max() <= 1e-6
 
     def test_exact_on_piecewise_linear(self):
         rng = np.random.default_rng(7)
@@ -83,13 +82,13 @@ class TestAgeIntegral:
         f = DensityField(node_vals, age, space)
         # exact integral of the piecewise-linear interpolant over [0, s_max - ds]
         exact = np.sum(0.5 * (node_vals[1:] + node_vals[:-1]) * age.ds, axis=0)
-        np.testing.assert_allclose(age_integral(f), exact, rtol=1e-14)
+        np.testing.assert_allclose(f.mass(), exact, rtol=1e-14)
 
     def test_weighted(self):
         age, space = AgeGrid(ns=2000, s_max=20.0), SpatialGrid(nx=2)
         f = DensityField.from_function(age, space, lambda s, x: np.exp(-s) + 0 * x)
-        w = age.nodes  # weight by s: integral s e^-s = 1
-        assert age_integral(f, weights=w)[0] == pytest.approx(1.0, abs=1e-4)
+        w = age.nodes[:, None]  # weight by s: integral s e^-s = 1
+        assert age.integrate(f.values * w)[0] == pytest.approx(1.0, abs=1e-4)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
@@ -97,7 +96,7 @@ class TestAgeIntegral:
         a = DensityField(rng.uniform(size=(30, 4)), age, space)
         b = DensityField(rng.uniform(size=(30, 4)), age, space)
         lhs = age.integrate(2.5 * a.values - 1.25 * b.values)
-        rhs = 2.5 * age_integral(a) - 1.25 * age_integral(b)
+        rhs = 2.5 * a.mass() - 1.25 * b.mass()
         np.testing.assert_allclose(lhs, rhs, rtol=1e-14)
 
     def test_refinement_reduces_error(self):
@@ -106,27 +105,28 @@ class TestAgeIntegral:
         for ns in (200, 400):
             age = AgeGrid(ns=ns, s_max=20.0)
             f = DensityField.from_function(age, space, lambda s, x: np.exp(-s) + 0 * x)
-            errs.append(abs(float(age_integral(f)[0]) - 1.0))
+            errs.append(abs(float(f.mass()[0]) - 1.0))
         assert errs[0] / errs[1] >= 3.5
 
 
 class TestKernelApply:
+    # the kernel action, the integral of w(x, y) N(y) over y, is space.integrate(w.values * N)
     def test_zero_kernel(self):
         space = SpatialGrid(nx=16)
         w = ConnectivityKernel.constant(space, 0.0)
-        np.testing.assert_array_equal(kernel_apply(w, np.ones(16)), np.zeros(16))
+        np.testing.assert_array_equal(space.integrate(w.values * np.ones(16)), np.zeros(16))
 
     def test_unit_kernel_constant_field(self):
         space = SpatialGrid(nx=64)
         w = ConnectivityKernel.constant(space, 1.0)
-        np.testing.assert_allclose(kernel_apply(w, np.full(64, 3.25)), 3.25, rtol=1e-14)
+        np.testing.assert_allclose(space.integrate(w.values * 3.25), 3.25, rtol=1e-14)
 
     def test_gaussian_kernel_vs_simpson_oracle(self):
         space = SpatialGrid(nx=1024)
         w = ConnectivityKernel.from_function(
             space, lambda x, y: 10 * np.exp(-10 * (x - y) ** 2)
         )
-        out = kernel_apply(w, np.ones(1024))
+        out = space.integrate(w.values)
         ix = int(np.argmin(np.abs(space.nodes - 0.5)))
         oracle = simpson(lambda y: 10 * np.exp(-10 * (0.5 - y) ** 2), 0.0, 1.0, 100000)
         assert oracle == pytest.approx(5.462919717851481, abs=1e-12)
@@ -140,7 +140,7 @@ class TestKernelApply:
         space = SpatialGrid(nx=8)
         w = ConnectivityKernel.constant(space, 1.0)
         with pytest.raises(GridError):
-            kernel_apply(w, np.ones(9))
+            space.integrate(w.values[:, :7])
 
 
 class TestNorms:
@@ -187,16 +187,10 @@ class TestNorms:
 
     def test_shape_mismatch(self):
         age, space = AgeGrid(ns=10, s_max=1.0), SpatialGrid(nx=4)
-        a = DensityField.zeros(age, space)
-        b = DensityField.zeros(AgeGrid(ns=12, s_max=1.0), space)
+        a = DensityField(np.zeros((10, 4)), age, space)
+        b = DensityField(np.zeros((12, 4)), AgeGrid(ns=12, s_max=1.0), space)
         with pytest.raises(GridError):
             norms(a, b)
-
-    def test_scalar_norms(self):
-        space = SpatialGrid(nx=10)
-        d = scalar_norms(space, np.full(10, 2.0), np.zeros(10))
-        assert d["L1"] == pytest.approx(2.0, abs=1e-14)
-        assert d["Linf"] == pytest.approx(2.0)
 
 
 class TestDensityField:
@@ -208,7 +202,7 @@ class TestDensityField:
 
     def test_normalize_rejects_empty_column(self):
         age, space = AgeGrid(ns=10, s_max=1.0), SpatialGrid(nx=2)
-        f = DensityField.zeros(age, space)
+        f = DensityField(np.zeros((age.ns, space.nx)), age, space)
         with pytest.raises(GridError):
             f.normalize_mass(1.0)
 

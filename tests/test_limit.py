@@ -1,12 +1,12 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from elapsednet.config import build_experiment, with_overrides
+from elapsednet.diagnostics import regime_certificates
 from elapsednet.grids import AgeGrid, ConnectivityKernel, DensityField, SpatialGrid
-from elapsednet.limit import epsilon_study, inner_fixed_point, limit_run, uniqueness_certificate
+from elapsednet.limit import epsilon_study, inner_fixed_point, limit_run
 from elapsednet.models import FiringRateModel, InputModel, LearningRule, SigmaMap, survival_F
 from elapsednet.presets import get_preset
 from elapsednet.renewal import SolverConfig, nonlinear_run
@@ -54,7 +54,7 @@ class TestLimitRun:
                                               lambda x, y: 10 * np.exp(-10 * (x - y) ** 2))
         rec = limit_run(w0, np.ones(8), step_model(), LearningRule("hebbian", 0.0),
                         InputModel("constant", amplitude=1.0), age,
-                        dt=0.05, t_end=10.0, save_every=1.0, warn_certificate=False)
+                        dt=0.05, t_end=10.0, save_every=1.0)
         w_final = rec.w_snapshot_at(10.0)
         assert w_final.max() <= math.exp(-10.0) * 10.0 + 1e-12
         # S = I + integral(w g F): bounded by the residual kernel mass
@@ -62,20 +62,16 @@ class TestLimitRun:
 
     def test_kernel_bound(self):
         exp = build_experiment(get_preset("Lg1i1c").config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rec = limit_run(exp.w0, exp.g, exp.model, exp.rule, exp.input_model,
-                            exp.age, dt=0.05, t_end=5.0, save_every=0.5)
+        rec = limit_run(exp.w0, exp.g, exp.model, exp.rule, exp.input_model,
+                        exp.age, dt=0.05, t_end=5.0, save_every=0.5)
         bound = max(float(exp.w0.values.max()), exp.rule.gamma)
         assert max(w.max() for w in rec.w_snapshots.values()) <= bound + 1e-9
 
     def test_algebraic_identities_along_the_run(self):
         exp = build_experiment(get_preset("Lg1i1c").config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rec = limit_run(exp.w0, exp.g, exp.model, exp.rule, exp.input_model,
-                            exp.age, dt=0.1, t_end=2.0, save_every=0.5,
-                            snapshot_times=(0.5, 1.0, 2.0), inner_tol=1e-12)
+        rec = limit_run(exp.w0, exp.g, exp.model, exp.rule, exp.input_model,
+                        exp.age, dt=0.1, t_end=2.0, save_every=0.5,
+                        snapshot_times=(0.5, 1.0, 2.0), inner_tol=1e-12)
         for i, t in enumerate(rec.times):
             if t == 0.0:
                 continue
@@ -89,10 +85,8 @@ class TestLimitRun:
 
     def test_homogenizes_and_matches_stationary(self):
         exp = build_experiment(get_preset("Lg1i1c").config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rec = limit_run(exp.w0, exp.g, exp.model, exp.rule, exp.input_model,
-                            exp.age, dt=0.05, t_end=25.0, save_every=0.25)
+        rec = limit_run(exp.w0, exp.g, exp.model, exp.rule, exp.input_model,
+                        exp.age, dt=0.05, t_end=25.0, save_every=0.25)
         devs = rec.w_dev_series
         assert devs[-1] < 1e-3
         assert devs[-1] < devs[0]
@@ -101,16 +95,22 @@ class TestLimitRun:
         state = solve_stationary(prob, tol=1e-12)
         assert np.abs(rec.final_S() - state.S_star).max() < 1e-3
 
-    def test_warns_outside_uniqueness_regime(self):
-        exp = build_experiment(get_preset("Lg1i1c").config)
-        with pytest.warns(UserWarning):
-            limit_run(exp.w0, exp.g, exp.model, exp.rule, exp.input_model,
-                      exp.age, dt=0.5, t_end=1.0)
+    @staticmethod
+    def limit_uniqueness(cfg):
+        exp = build_experiment(cfg)
+        certs = regime_certificates(exp.model, exp.rule, exp.w0, exp.g,
+                                    exp.input_model.evaluate(exp.space))
+        return next(c for c in certs if c.name == "limit_uniqueness")
 
     def test_uniqueness_certificate(self):
-        model = step_model()
-        assert uniqueness_certificate(0.5, 0.5, model, 1.0, 3.0)
-        assert not uniqueness_certificate(10.0, 1.0, model, 1.0, 11.0)
+        # max(||w0||, gamma) ||F'|| = 0.5 ||F'|| with ||F'|| <= 1 for the unit step rate
+        weak = with_overrides(get_preset("Lg1i1c").config, kernel_amplitude=0.5, gamma=0.5)
+        cert = self.limit_uniqueness(weak)
+        assert cert.holds and 0.0 < cert.lhs < 1.0
+
+    def test_uniqueness_certificate_fails_on_Lg1i1c(self):
+        cert = self.limit_uniqueness(get_preset("Lg1i1c").config)
+        assert not cert.holds and cert.lhs >= 1.0
 
 
 class TestEpsilonStudy:

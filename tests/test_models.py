@@ -8,9 +8,9 @@ from elapsednet.models import (
     FiringRateModel,
     InputModel,
     LearningRule,
+    F_bounds,
     ModelError,
     SigmaMap,
-    lipschitz_F,
     stimulation_bounds,
     survival_F,
 )
@@ -185,7 +185,7 @@ class TestSurvivalF:
     def test_lipschitz_bound_from_structure(self):
         # |F'| <= p_inf^2 ||dp/dS|| (s*^2/2 + s*/p* + 1/p*^2), sampled S in [0, 10]
         m = smooth_model(0.5, p_star=0.8, s_star=11.0)
-        sampled = lipschitz_F(m, 0.0, 10.0, n=101) / 1.05
+        sampled = F_bounds(m, 0.0, 10.0, n=101)[0] / 1.05
         s_star, p_star = m.s_star, m.p_star
         bound = m.p_inf**2 * m.dpdS_bound * (s_star**2 / 2 + s_star / p_star + 1 / p_star**2)
         assert sampled <= bound

@@ -18,7 +18,7 @@ from elapsednet.grids import AgeGrid, DensityField, SpatialGrid
 from elapsednet.models import (MAX_RAMP_REFINE, RAMP_INTERVALS, FiringRateModel, ModelError,
                                SigmaMap, survival_F)
 from elapsednet.presets import get_preset
-from elapsednet.renewal import _survivor_sum, characteristics_oracle
+from elapsednet.renewal import _aligned_rows, _survivor_sum, characteristics_oracle
 
 
 def shifted_copy_sum(n_a, hazard, p_nodes, delta, m):
@@ -131,6 +131,13 @@ def constant_hazard_cases(draw):
     rise = draw(st.floats(0.0, 2.0, exclude_min=True, allow_subnormal=False))
     n0 = DensityField(values, age, SpatialGrid(nx=nx))
     return n0, rise * refine / age.ds, q * age.ds, refine
+
+
+@pytest.mark.parametrize("cols", [1, 7, 8, 19200, 19201])
+def test_correlation_operand_rows_start_on_64_byte_boundaries(cols):
+    B = _aligned_rows(4, cols)
+    assert B.shape == (4, cols)
+    assert [row.ctypes.data % 64 for row in B] == [0] * 4
 
 
 @settings(deadline=None)

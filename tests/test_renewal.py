@@ -76,7 +76,7 @@ class TestLinearStep:
         for _ in range(500):
             n, _ = linear_step(n, S, step_model(), cfg)
         assert np.abs(n.mass() - 1.0).max() <= 1e-10
-        assert n.min_value() >= -1e-12
+        assert n.values.min() >= -1e-12
 
     def test_discrete_equilibrium_near_exponential(self):
         # with threshold 0 the continuum equilibrium is e^{-s}; the scheme
@@ -101,15 +101,15 @@ class TestLinearStep:
             SolverConfig(dt=3 * age.ds).validate(age, step_model())
 
     def test_negative_density_sentinel(self):
+        # NaN fails the sentinel comparison just as a value below -1e-12 does
         age, space = AgeGrid(ns=100, s_max=10.0), SpatialGrid(nx=1)
         values = np.zeros((100, 1))
-        values[50] = 1.0  # isolated spike: unguarded lam = 1 with discharge
+        values[50] = np.nan
         n = DensityField(values, age, space)
-        cfg = SolverConfig(dt=age.ds, cfl_guard=False)
+        cfg = SolverConfig(dt=age.ds / 2)
         model = step_model(sigma_kind="constant", sigma_max=0.0)
-        with pytest.raises(NegativeDensityError):
-            for _ in range(5):
-                n, _ = linear_step(n, np.zeros(1), model, cfg)
+        with pytest.raises(NegativeDensityError, match="nan"):
+            linear_step(n, np.zeros(1), model, cfg)
 
 
 class TestCharacteristicsOracle:
@@ -261,7 +261,6 @@ class TestNonlinearRun:
                             exp.solver, t_end=2.0, save_every=0.25)
         assert np.abs(rec.mass_series - exp.g[None, :]).max() <= 1e-10
 
-    @pytest.mark.filterwarnings("ignore:initial stimulation fixed point")
     def test_iterate_nonconvergence_reports_residual(self):
         age, space = AgeGrid(ns=100, s_max=20.0), SpatialGrid(nx=4)
         n0 = DensityField.from_function(age, space, lambda s, x: np.exp(-s) + 0 * x)
@@ -339,15 +338,14 @@ class TestRunRecord:
             RunRecord(times=np.array([0.0, 0.0]), N_series=np.zeros((2, 2)),
                       S_series=np.zeros((2, 2)), mass_series=np.zeros((2, 2)),
                       w_mean_series=np.zeros(2), w_dev_series=np.zeros(2),
-                      w_snapshots={}, n_snapshots={}, space=space, age=age)
+                      w_snapshots={}, space=space, age=age)
 
     def test_snapshot_lookup_tolerates_rounding(self):
         space, age = SpatialGrid(nx=2), AgeGrid(ns=4, s_max=1.0)
         rec = RunRecord(times=np.array([0.0, 1.0]), N_series=np.zeros((2, 2)),
                         S_series=np.zeros((2, 2)), mass_series=np.zeros((2, 2)),
                         w_mean_series=np.zeros(2), w_dev_series=np.zeros(2),
-                        w_snapshots={0.5000000000000001: np.eye(2)}, n_snapshots={},
-                        space=space, age=age)
+                        w_snapshots={0.5000000000000001: np.eye(2)}, space=space, age=age)
         np.testing.assert_array_equal(rec.w_snapshot_at(0.5), np.eye(2))
         with pytest.raises(KeyError):
             rec.w_snapshot_at(0.75)

@@ -164,7 +164,7 @@ def test_mass_conserved_at_half_cfl(data):
         n, N = linear_step(n, S, model, cfg)
         assert np.all(np.isfinite(N)) and N.min() >= 0.0
     assert np.abs(n.mass() - m0).max() <= 1e-12 * max(1.0, float(m0.max()))
-    assert n.min_value() >= 0.0
+    assert n.values.min() >= 0.0
 
 
 def test_positivity_boundary_leaves_no_negative_round_off():
@@ -267,14 +267,30 @@ def test_recorded_rows_and_snapshots_do_not_share_buffers():
     cfg = SolverConfig(dt=n0.age.ds / 2)
     half, end = 20 * cfg.dt, 40 * cfg.dt
     rec = nonlinear_run(n0, w0, model, rule, input_model, cfg, t_end=end,
-                        save_every=cfg.dt, snapshot_times=(half, end), record_density=True)
+                        save_every=cfg.dt, snapshot_times=(half, end))
     early = nonlinear_run(n0, w0, model, rule, input_model, cfg, t_end=half,
-                          save_every=cfg.dt, snapshot_times=(half,), record_density=True)
-    for table in ("n_snapshot_at", "w_snapshot_at"):
-        mid, last = getattr(rec, table)(half), getattr(rec, table)(end)
-        assert not np.shares_memory(mid, last)
-        # the mid-run snapshot is not overwritten by the steps after it
-        np.testing.assert_array_equal(mid, getattr(early, table)(half))
-        assert not np.array_equal(mid, last)
+                          save_every=cfg.dt, snapshot_times=(half,))
+    mid, last = rec.w_snapshot_at(half), rec.w_snapshot_at(end)
+    assert not np.shares_memory(mid, last)
+    # the mid-run snapshot is not overwritten by the steps after it
+    np.testing.assert_array_equal(mid, early.w_snapshot_at(half))
+    assert not np.array_equal(mid, last)
     assert len({row.tobytes() for row in rec.N_series}) == len(rec.times)
     np.testing.assert_array_equal(rec.N_series[:21], early.N_series)
+
+
+def test_observer_sees_step_zero_and_every_step():
+    n0, w0, input_model = _small_problem()
+    model = FiringRateModel(kind="step", p_inf=1.0, sigma=SigmaMap("identity"))
+    cfg = SolverConfig(dt=n0.age.ds / 2)
+    seen = []
+
+    def observer(step, values, N, S):
+        seen.append((step, n0.age.integrate(values), N.copy()))
+
+    rec = nonlinear_run(n0, w0, model, LearningRule("hebbian", 1.0), input_model, cfg,
+                        t_end=40 * cfg.dt, save_every=cfg.dt, observer=observer)
+    assert [step for step, _, _ in seen] == list(range(41))
+    # the live density at each call is the one the record's row was taken from
+    np.testing.assert_array_equal([mass for _, mass, _ in seen], rec.mass_series)
+    np.testing.assert_array_equal([N for _, _, N in seen], rec.N_series)
