@@ -52,14 +52,6 @@ class NegativeDensityError(RuntimeError):
 NEGATIVE_SENTINEL = -1e-12
 
 
-def _aligned_rows(rows: int, cols: int) -> np.ndarray:
-    """An empty (rows, cols) array whose rows each start on a 64-byte boundary."""
-    stride = -(-cols // 8) * 8
-    raw = np.empty(rows * stride + 8)
-    start = (-raw.ctypes.data % 64) // 8
-    return raw[start : start + rows * stride].reshape(rows, stride)[:, :cols]
-
-
 @dataclass(frozen=True)
 class PicardOptions:
     mode: str = "lagged"
@@ -140,11 +132,15 @@ class RunRecord:
     def final_S(self) -> np.ndarray:
         return self.S_series[-1]
 
-    def w_snapshot_at(self, t: float) -> np.ndarray:
-        for key, value in self.w_snapshots.items():
+    @staticmethod
+    def _lookup(table: dict[float, np.ndarray], t: float) -> np.ndarray:
+        for key, value in table.items():
             if abs(key - t) <= 1e-9 * max(1.0, abs(t)):
                 return value
-        raise KeyError(f"no snapshot near t = {t}; available: {sorted(self.w_snapshots)}")
+        raise KeyError(f"no snapshot near t = {t}; available: {sorted(table)}")
+
+    def w_snapshot_at(self, t: float) -> np.ndarray:
+        return self._lookup(self.w_snapshots, t)
 
 
 class Recorder:
@@ -196,13 +192,9 @@ class Stepper:
         self.h = cfg.dt / (2.0 * cfg.epsilon)  # the loss weight of each interval end
         # B >= 0 as validate bounds ds p_inf by 2, A >= 0 under the positivity check:
         # both are clamped at 0 against round-off
-        # the step's ufuncs run up to ~10% slower on some placements of unaligned buffers
-        ns, nx = n.values.shape
-        self.values = _aligned_rows(ns, nx)
-        self.values[...] = n.values
-        self.nbar, self.rates, self.A, self.B = (_aligned_rows(ns - 1, nx) for _ in range(4))
-        self.suffix = _aligned_rows(ns, nx)  # C_k = sum_{i >= k} nbar_i; C_{ns-1} = 0
-        self.suffix[-1] = 0.0
+        self.values = n.values.copy()
+        self.nbar, self.rates, self.A, self.B = (np.empty_like(n.values[1:]) for _ in range(4))
+        self.suffix = np.zeros(n.values.shape)  # C_k = sum_{i >= k} nbar_i; C_{ns-1} = 0
         self.widths = np.full(n.age.ns - 1, n.age.ds)  # N = widths @ (r nbar), a column sum
         self.edges = n.age.nodes
         self.cells = None  # threshold cells of the step-kind rates once they are set
@@ -535,6 +527,13 @@ def _oracle_window(
 EXP_SPAN = 300.0
 
 
+def _aligned_empty(rows: int, cols: int) -> np.ndarray:
+    """An empty C-contiguous (rows, cols) array that starts on a 64-byte boundary."""
+    raw = np.empty(rows * cols + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start : start + rows * cols].reshape(rows, cols)
+
+
 def _survivor_sum(
     n_a: np.ndarray,
     hazard: np.ndarray,
@@ -573,8 +572,10 @@ def _survivor_sum(
             a[0] *= 0.5
         if i1 == fine_ns:
             a[-1] *= 0.5
-        # np.correlate runs ~25% slower when its second operand is not 64-byte aligned
-        B = np.subtract(hazard[j0:j1].T, h_ref[:, None], out=_aligned_rows(nx, j1 - j0))
+        # np.correlate runs ~25% slower when its second operand is not 64-byte aligned:
+        # rows padded to a multiple of 8 doubles each start on a 64-byte boundary
+        B = _aligned_empty(nx, -(-(j1 - j0) // 8) * 8)[:, : j1 - j0]
+        np.subtract(hazard[j0:j1].T, h_ref[:, None], out=B)
         np.exp(B, out=B)
         B *= n_a[j0:j1].T
         for ix in range(nx):
@@ -626,6 +627,8 @@ def large_input_run(
         sample_times = (t_end,)
 
     sample_steps = [int(round(ts / cfg.dt)) for ts in sample_times]
+    if any(abs(k * cfg.dt - ts) > 1e-9 * max(1.0, ts) for k, ts in zip(sample_steps, sample_times)):
+        raise ModelError(f"sample times {sample_times} are not all multiples of dt = {cfg.dt}")
 
     def run(*args, **kwargs) -> tuple[RunRecord, dict[int, np.ndarray]]:
         densities: dict[int, np.ndarray] = {}

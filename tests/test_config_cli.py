@@ -361,6 +361,16 @@ class TestCLI:
         assert f"file = {csv}" in manifest and "file = summary.txt" in manifest
         assert (out / "summary.txt").read_text().startswith(f"[{command}]\n")
 
+    @pytest.mark.filterwarnings("ignore:initial density carries")
+    def test_large_input_with_an_odd_step_count_is_incomplete(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("nx = 8\nns = 200\ns_max = 10\nkernel_amplitude = 2\n"
+                            "t_end = 0.075\nlarge_input_k = 1, 10\n")  # 3 steps of 0.025
+        out = tmp_path / "out"
+        assert run_cli("large-input", "--config", str(cfg_path), "--out", str(out)) == 1
+        manifest = (out / "MANIFEST").read_text()
+        assert "status = incomplete" in manifest and "multiples of dt" in manifest
+
     def test_epsilon_study_takes_the_picard_flags(self, monkeypatch, tmp_path):
         seen = {}
 

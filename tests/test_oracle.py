@@ -18,7 +18,7 @@ from elapsednet.grids import AgeGrid, DensityField, SpatialGrid
 from elapsednet.models import (MAX_RAMP_REFINE, RAMP_INTERVALS, FiringRateModel, ModelError,
                                SigmaMap, survival_F)
 from elapsednet.presets import get_preset
-from elapsednet.renewal import _aligned_rows, _survivor_sum, characteristics_oracle
+from elapsednet.renewal import _aligned_empty, _survivor_sum, characteristics_oracle
 
 
 def shifted_copy_sum(n_a, hazard, p_nodes, delta, m):
@@ -134,9 +134,12 @@ def constant_hazard_cases(draw):
 
 
 @pytest.mark.parametrize("cols", [1, 7, 8, 19200, 19201])
-def test_correlation_operand_rows_start_on_64_byte_boundaries(cols):
-    B = _aligned_rows(4, cols)
-    assert B.shape == (4, cols)
+def test_aligned_buffers_start_on_64_byte_boundaries(cols):
+    block = _aligned_empty(4, cols)
+    assert block.shape == (4, cols) and block.flags.c_contiguous
+    assert block.ctypes.data % 64 == 0
+    # the correlation operand's rows, padded to a multiple of 8 doubles, all start aligned
+    B = _aligned_empty(4, -(-cols // 8) * 8)[:, :cols]
     assert [row.ctypes.data % 64 for row in B] == [0] * 4
 
 

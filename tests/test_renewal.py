@@ -5,7 +5,7 @@ import pytest
 
 from elapsednet.fixedpoint import PicardError, damped_fixed_point
 from elapsednet.grids import AgeGrid, ConnectivityKernel, DensityField, SpatialGrid, norms
-from elapsednet.models import FiringRateModel, InputModel, LearningRule, SigmaMap
+from elapsednet.models import FiringRateModel, InputModel, LearningRule, ModelError, SigmaMap
 from elapsednet.renewal import (
     CFLError,
     NegativeDensityError,
@@ -376,6 +376,13 @@ class TestLargeInput:
         n0, w0, model, rule, I, cfg = self._setup("bounded", 2.0, "constant")
         with pytest.raises(ValueError):
             large_input_run([10.0, 1.0], n0, w0, model, rule, I, cfg, t_end=1.0)
+
+    def test_rejects_sample_time_between_steps(self):
+        n0, w0, model, rule, I, cfg = self._setup("bounded", 2.0, "constant")
+        t_end = 3 * cfg.dt  # an odd step count: t_end / 2 falls between two steps
+        with pytest.raises(ModelError, match="multiples of dt"):
+            large_input_run([1.0, 10.0], n0, w0, model, rule, I, cfg, t_end=t_end,
+                            sample_times=(t_end / 2, t_end))
 
     def test_distance_decreases_with_k(self):
         n0, w0, model, rule, I, cfg = self._setup("bounded", 2.0, "sin_squared")
