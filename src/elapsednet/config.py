@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .grids import AgeGrid, ConnectivityKernel, DensityField, SpatialGrid
-from .models import FiringRateModel, InputModel, LearningRule, SigmaMap, stimulation_bounds
+from .grids import AgeGrid, ConnectivityKernel, DensityField, FieldError, SpatialGrid
+from .models import (FiringRateModel, InputModel, LearningRule, SigmaMap,
+                     check_reachable_threshold)
 from .renewal import PicardOptions, SolverConfig
 
 
@@ -79,14 +80,26 @@ class ExperimentConfig:
         return self.epsilon * ds / 2.0 if self.dt is None else self.dt
 
 
+# the choices that no model object checks
 _CHOICES = {
-    "picard": ("lagged", "iterate"),
-    "rate": ("step", "smooth"),
-    "sigma": ("identity", "bounded", "constant"),
-    "rule": ("hebbian", "gaussian_sigmoid"),
-    "input": ("constant", "sin_squared", "table"),
     "density": ("homogeneous", "gaussian_profile"),
     "kernel": ("gaussian", "constant", "zero"),
+}
+
+# each model object's constructor field -> the config key that supplies it; a refusal
+# that names the field is reported under that key
+_KEYS = {
+    SpatialGrid: {"nx": "nx"},
+    AgeGrid: {"ns": "ns", "s_max": "s_max"},
+    SigmaMap: {"kind": "sigma", "sigma_max": "sigma_max"},
+    FiringRateModel: {"kind": "rate", "p_inf": "p_inf", "p_star": "p_star",
+                      "s_star": "s_star", "theta": "theta"},
+    LearningRule: {"kind": "rule", "gamma": "gamma"},
+    InputModel: {"kind": "input", "amplitude": "input_amplitude", "k": "input_scale",
+                 "table": "input_table"},
+    PicardOptions: {"mode": "picard", "tol": "picard_tol", "max_iters": "picard_max_iters",
+                    "damping": "picard_damping"},
+    SolverConfig: {"dt": "dt", "epsilon": "epsilon"},
 }
 
 
@@ -160,7 +173,23 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
+def _keyed(owner: type, check, *args):
+    """check(*args), a refusal that names a field of `owner` re-raised under its config key."""
+    try:
+        return check(*args)
+    except FieldError as exc:
+        raise ConfigError(str(exc), key=_KEYS[owner][exc.field]) from None
+
+
+def _make(owner: type, cfg: ExperimentConfig, **given):
+    """`owner` built from the config keys of its fields, `given` replacing some of them."""
+    args = {f: getattr(cfg, k) for f, k in _KEYS[owner].items()} | given
+    return _keyed(owner, lambda: owner(**args))
+
+
+def validate_config(cfg: ExperimentConfig):
+    """Refuse a configuration that breaks a format rule or a model object's rule, naming
+    the key; return the model objects it builds: (space, age, model, rule, input, solver)."""
     for key, kind in _FIELD_TYPES.items():
         value = getattr(cfg, key)
         if value == ():  # it would serialize as the empty value, which reads as the default
@@ -168,35 +197,24 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if kind in (float, tuple) and value is not None:
             if not all(map(math.isfinite, value if kind is tuple else (value,))):
                 raise ConfigError(f"not a finite number: {value!r}", key=key)
+        # a name must read back as itself: one line, no '#', no outer spaces, not a word
+        # that reads as no value
+        if key in ("out", "preset") and value is not None and (
+                value.splitlines() != [value] or value != value.strip() or "#" in value
+                or value in ("none", "auto")):
+            raise ConfigError(f"{value!r} does not read back from a config file", key=key)
     for key, choices in _CHOICES.items():
         if getattr(cfg, key) not in choices:
             raise ConfigError(f"must be one of {choices}", key=key)
-    if cfg.nx < 1 or cfg.ns < 2:
-        raise ConfigError("grid sizes must be positive (nx >= 1, ns >= 2)", key="nx")
-    if cfg.s_max <= 0 or cfg.t_end <= 0 or cfg.save_every <= 0:
-        raise ConfigError("s_max, t_end and save_every must be positive", key="s_max")
-    if not 0 < cfg.epsilon <= 1:
-        raise ConfigError(f"epsilon must lie in (0, 1], got {cfg.epsilon}", key="epsilon")
-    if cfg.p_inf <= 0:
-        raise ConfigError(f"p_inf must be positive, got {cfg.p_inf}", key="p_inf")
-    ds = cfg.s_max / cfg.ns
-    dt = cfg.resolved_dt()
-    if dt / cfg.epsilon > ds * (1 + 1e-12):
-        raise ConfigError(
-            f"dt/epsilon = {dt / cfg.epsilon:.6g} exceeds ds = {ds:.6g}", key="dt"
-        )
-    if dt * cfg.p_inf > 1 + 1e-12:
-        raise ConfigError(
-            f"dt = {dt:.6g} violates dt * p_inf <= 1 (p_inf = {cfg.p_inf})", key="dt"
-        )
-    if cfg.rate == "smooth" and (cfg.theta is None or cfg.theta <= 0):
-        raise ConfigError("smooth rate needs a positive theta", key="theta")
-    if cfg.sigma in ("bounded", "constant") and cfg.sigma_max is None:
-        raise ConfigError(f"sigma kind {cfg.sigma!r} needs sigma_max", key="sigma_max")
-    if cfg.input == "table" and cfg.input_table is None:
-        raise ConfigError("missing required field for table input", key="input_table")
-    if cfg.gamma < 0:
-        raise ConfigError("gamma must be nonnegative", key="gamma")
+    for key in ("t_end", "save_every"):
+        if getattr(cfg, key) <= 0:
+            raise ConfigError(f"must be positive, got {getattr(cfg, key)}", key=key)
+    space, age = _make(SpatialGrid, cfg), _make(AgeGrid, cfg)
+    model = _make(FiringRateModel, cfg, sigma=_make(SigmaMap, cfg))
+    rule, input_model = _make(LearningRule, cfg), _make(InputModel, cfg)
+    solver = _make(SolverConfig, cfg, dt=cfg.resolved_dt(), picard=_make(PicardOptions, cfg))
+    _keyed(SolverConfig, solver.validate, age, model)
+    return space, age, model, rule, input_model, solver
 
 
 # ---------------------------------------------------------------------------
@@ -249,51 +267,14 @@ def initial_kernel(cfg: ExperimentConfig, space: SpatialGrid) -> ConnectivityKer
     return ConnectivityKernel.constant(space, 0.0)
 
 
-def _built(key: str, make, *args, **kwargs):
-    """make(*args, **kwargs), its ModelError/ValueError re-raised naming the config key."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:  # ModelError is a ValueError
-        raise ConfigError(str(exc), key=key) from None
-
-
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
-    validate_config(cfg)
-    space = SpatialGrid(nx=cfg.nx)
-    age = AgeGrid(ns=cfg.ns, s_max=cfg.s_max)
-    sigma = _built("sigma_max", SigmaMap, cfg.sigma, sigma_max=cfg.sigma_max)
-    # past validate_config the rate model rejects only a bad p_star/s_star
-    model = _built(
-        "p_star", FiringRateModel,
-        kind=cfg.rate, p_inf=cfg.p_inf, sigma=sigma, p_star=cfg.p_star,
-        s_star=cfg.s_star, theta=cfg.theta,
-        dpdS_bound=(1.5 * cfg.p_inf * sigma.lipschitz / cfg.theta
-                    if cfg.rate == "smooth" else None),
-    )
-    rule = LearningRule(cfg.rule, cfg.gamma)
-    input_model = _built("input_amplitude", InputModel, cfg.input, amplitude=cfg.input_amplitude,
-                         k=cfg.input_scale, table=cfg.input_table)
+    space, age, model, rule, input_model, solver = validate_config(cfg)
+    I_vals = _keyed(InputModel, input_model.evaluate, space)  # a table must fit the grid
     n0 = initial_density(cfg, age, space)
     w0 = initial_kernel(cfg, space)
-    # in the order PicardOptions checks them
-    picard_key = ("picard_tol" if cfg.picard_tol <= 0 else
-                  "picard_max_iters" if cfg.picard_max_iters < 1 else "picard_damping")
-    picard = _built(picard_key, PicardOptions, cfg.picard, cfg.picard_tol,
-                    cfg.picard_max_iters, cfg.picard_damping)
-    # validate_config bounds dt from above only
-    solver = _built("dt", SolverConfig, dt=cfg.resolved_dt(), epsilon=cfg.epsilon,
-                    picard=picard)
-
-    I_vals = _built("input_table", input_model.evaluate, space)
     g = n0.mass()
-    lo, hi = stimulation_bounds(model, rule, float(w0.values.max()), float(g.max()), I_vals)
-    threshold = model.sigma.sup_over(lo, hi)
-    if threshold >= age.s_max:
-        raise ConfigError(
-            f"s_max = {age.s_max} must strictly exceed the reachable firing "
-            f"threshold {threshold:.6g} (stimulation bound {hi:.6g})",
-            key="s_max",
-        )
+    _keyed(AgeGrid, check_reachable_threshold, age, model, rule, float(w0.values.max()),
+           float(g.max()), I_vals)
     tail = float(n0.values[-1].max()) * age.ds
     if tail > 1e-8 * float(g.max()):
         warnings.warn(

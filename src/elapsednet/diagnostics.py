@@ -91,21 +91,19 @@ def doeblin_check(
     n0: DensityField,
     S: np.ndarray,
     model: FiringRateModel,
-    s_star: float | None = None,
     refine: int = 8,
 ) -> DoeblinReport:
     """Verify the uniform minorization of the frozen-S dynamics at t0 = 2 s_star.
 
-    s_star defaults to the model's pulse age over the frozen stimulation
-    range; rates satisfying the strictly positive bound can pass any small
-    s_star (the smallest grid-representable one is used).  The check is
+    s_star is the model's pulse age over the frozen stimulation range; rates
+    satisfying the strictly positive bound can pass any small s_star (the
+    smallest grid-representable one is used for s_star <= 0).  The check is
     uniform over initial data; the margin reported here is for the given n0,
     and discretization is allowed to eat at most O(ds) of it.
     """
     S = np.asarray(S, dtype=float)
     p_star = model.lower_rate
-    if s_star is None:
-        s_star = model.pulse_age(float(S.min()), float(S.max()))
+    s_star = model.pulse_age(float(S.min()), float(S.max()))
     if s_star <= 0:
         s_star = n0.age.ds  # smallest grid-representable pulse age
     alpha = p_star * s_star * np.exp(-2.0 * model.p_inf * s_star)
@@ -184,7 +182,7 @@ def regime_certificates(
             "p_inf ||sigma'|| |Omega| max(||w0||, gamma) (||n0|| + p_inf ||g||) < 1",
         ))
     else:
-        lhs = g_max * omega * (model.dpdS_bound or 0.0) * A
+        lhs = g_max * omega * model.dpdS_bound * A
         certs.append(Certificate(
             "wellposed_smooth", lhs, lhs < 1.0,
             "||g|| |Omega| ||dp/dS|| max(||w0||, gamma) < 1",

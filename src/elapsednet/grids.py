@@ -16,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class GridError(ValueError):
+class FieldError(Exception):
+    """A refused value; `field` names the attribute or argument that holds it."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+class GridError(FieldError, ValueError):
     """Inconsistent grid parameters or mismatched field shapes."""
 
 
@@ -30,10 +38,11 @@ class SpatialGrid:
 
     def __post_init__(self) -> None:
         if self.nx < 1:
-            raise GridError(f"nx must be a positive integer, got {self.nx}")
+            raise GridError(f"nx must be a positive integer, got {self.nx}", field="nx")
         if not -np.inf < self.x_min < self.x_max < np.inf:
             raise GridError(f"domain must be finite and nonempty: x_min={self.x_min}, "
-                            f"x_max={self.x_max}")
+                            f"x_max={self.x_max}",
+                            field="x_min" if not -np.inf < self.x_min < np.inf else "x_max")
 
     @property
     def length(self) -> float:
@@ -55,7 +64,7 @@ class SpatialGrid:
         """Cell-weight quadrature over x; last axis must match the grid."""
         values = np.asarray(values, dtype=float)
         if values.shape[-1] != self.nx:
-            raise GridError(f"expected last axis {self.nx}, got shape {values.shape}")
+            raise GridError(f"expected last axis {self.nx}, got {values.shape}", field="values")
         out = np.sum(values * self.weights, axis=-1)
         return float(out) if out.ndim == 0 else out
 
@@ -73,9 +82,9 @@ class AgeGrid:
 
     def __post_init__(self) -> None:
         if self.ns < 2:
-            raise GridError(f"ns must be at least 2, got {self.ns}")
+            raise GridError(f"ns must be at least 2, got {self.ns}", field="ns")
         if not 0 < self.s_max < np.inf:
-            raise GridError(f"s_max must be positive and finite, got {self.s_max}")
+            raise GridError(f"s_max must be positive and finite, got {self.s_max}", field="s_max")
 
     @property
     def ds(self) -> float:
@@ -96,7 +105,7 @@ class AgeGrid:
         """Trapezoid quadrature over age; `values` is (ns,) or (ns, nx)."""
         values = np.asarray(values, dtype=float)
         if values.shape[0] != self.ns:
-            raise GridError(f"expected leading axis {self.ns}, got shape {values.shape}")
+            raise GridError(f"expected leading axis {self.ns}, got {values.shape}", field="values")
         out = np.tensordot(self.weights, values, axes=(0, 0))
         return float(out) if out.ndim == 0 else out
 
@@ -119,7 +128,7 @@ class DensityField:
         if self.values.shape != (self.age.ns, self.space.nx):
             raise GridError(
                 f"density shape {self.values.shape} does not match grid "
-                f"({self.age.ns}, {self.space.nx})"
+                f"({self.age.ns}, {self.space.nx})", field="values"
             )
 
     @classmethod
@@ -139,7 +148,7 @@ class DensityField:
         """Rescale each column so its discrete age-integral equals `target`."""
         current = self.mass()
         if np.any(current <= 0):
-            raise GridError("cannot normalize a column with nonpositive mass")
+            raise GridError("cannot normalize a column with nonpositive mass", field="values")
         self.values *= np.asarray(target, dtype=float) / current
         return self
 
@@ -156,7 +165,7 @@ class ConnectivityKernel:
         if self.values.shape != (self.space.nx, self.space.nx):
             raise GridError(
                 f"kernel shape {self.values.shape} does not match grid "
-                f"({self.space.nx}, {self.space.nx})"
+                f"({self.space.nx}, {self.space.nx})", field="values"
             )
 
     @classmethod

@@ -14,14 +14,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import AgeGrid, ConnectivityKernel, SpatialGrid
+from .grids import AgeGrid, ConnectivityKernel, FieldError, GridError, SpatialGrid
 
 
-class ModelError(ValueError):
+class ModelError(FieldError, ValueError):
     """Invalid model descriptor."""
 
 
@@ -30,7 +30,7 @@ def _require_finite(owner: object, names: tuple[str, ...]) -> None:
     for name in names:
         value = getattr(owner, name)
         if value is not None and not math.isfinite(value):
-            raise ModelError(f"{name} must be finite, got {value}")
+            raise ModelError(f"{name} must be finite, got {value}", field=name)
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,11 @@ class SigmaMap:
 
     def __post_init__(self) -> None:
         if self.kind not in ("identity", "bounded", "constant"):
-            raise ModelError(f"unknown sigma kind: {self.kind!r}")
+            raise ModelError(f"unknown sigma kind: {self.kind!r}", field="kind")
         if self.sigma_max is not None and math.isnan(self.sigma_max):  # +inf: identity's limit
-            raise ModelError("sigma_max must be a number, got nan")
-        if self.kind in ("bounded", "constant"):
-            if self.sigma_max is None or self.sigma_max < 0:
-                raise ModelError(f"sigma kind {self.kind!r} needs sigma_max >= 0")
+            raise ModelError("sigma_max must be a number, got nan", field="sigma_max")
+        if self.kind != "identity" and (self.sigma_max is None or self.sigma_max < 0):
+            raise ModelError(f"sigma kind {self.kind!r} needs sigma_max >= 0", field="sigma_max")
 
     def __call__(self, S):
         S = np.asarray(S, dtype=float)
@@ -91,21 +90,27 @@ class FiringRateModel:
     p_star: float | None = None
     s_star: float | None = None
     theta: float | None = None
-    dpdS_bound: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("step", "smooth"):
-            raise ModelError(f"unknown rate kind: {self.kind!r}")
-        _require_finite(self, ("p_inf", "p_star", "s_star", "theta", "dpdS_bound"))
-        if self.p_inf < 0:
-            raise ModelError(f"p_inf must be nonnegative, got {self.p_inf}")
+            raise ModelError(f"unknown rate kind: {self.kind!r}", field="kind")
+        _require_finite(self, ("p_inf", "p_star", "s_star", "theta"))
+        if self.p_inf <= 0:
+            raise ModelError(f"p_inf must be positive, got {self.p_inf}", field="p_inf")
         if self.kind == "smooth":
             if self.theta is None or self.theta <= 0:
-                raise ModelError("smooth rate needs a positive smoothing width theta")
+                raise ModelError("smooth rate needs a positive width theta", field="theta")
             if self.p_star is None or self.s_star is None:
-                raise ModelError("smooth rate needs explicit p_star and s_star")
+                raise ModelError("smooth rate needs explicit p_star and s_star",
+                                 field="p_star" if self.p_star is None else "s_star")
         if self.p_star is not None and not 0 <= self.p_star <= self.p_inf:
-            raise ModelError(f"p_star must lie in [0, p_inf], got {self.p_star}")
+            raise ModelError(f"p_star must lie in [0, p_inf], got {self.p_star}", field="p_star")
+
+    @property
+    def dpdS_bound(self) -> float | None:
+        """sup |dp/dS| of the smooth rate, p_inf ||sigma'|| / theta times the smoothstep's
+        steepest slope 3/2; None for the step rate, which jumps."""
+        return None if self.kind == "step" else 1.5 * self.p_inf * self.sigma.lipschitz / self.theta
 
     @property
     def lower_rate(self) -> float:
@@ -179,31 +184,7 @@ class FiringRateModel:
 
     def limit_model(self) -> "FiringRateModel":
         """The frozen large-stimulation rate p(s, inf) as a constant-threshold model."""
-        sig_inf = self.sigma.limit_value()
-        return FiringRateModel(
-            kind=self.kind,
-            p_inf=self.p_inf,
-            sigma=SigmaMap("constant", sigma_max=sig_inf),
-            p_star=self.p_star,
-            s_star=self.s_star,
-            theta=self.theta,
-            dpdS_bound=0.0 if self.kind == "smooth" else None,
-        )
-
-    def check_dpdS_bound(self, S_lo: float = 0.0, S_hi: float = 10.0, n: int = 400) -> float:
-        """Sampled sup |dp/dS|; raises if it exceeds the declared bound."""
-        S_vals = np.linspace(S_lo, S_hi, n)
-        span = self.sigma.sup_over(S_lo, S_hi) + (self.theta or 0.0) + 1.0
-        s_vals = np.linspace(0.0, span, 4 * n)
-        h = (S_hi - S_lo) / (8 * n)
-        p_plus = self.evaluate(s_vals[:, None], S_vals[None, :] + h)
-        p_minus = self.evaluate(s_vals[:, None], S_vals[None, :] - h)
-        seen = float(np.abs(p_plus - p_minus).max() / (2 * h))
-        if self.dpdS_bound is not None and seen > self.dpdS_bound * (1 + 1e-6):
-            raise ModelError(
-                f"sampled |dp/dS| = {seen:.6g} exceeds declared bound {self.dpdS_bound:.6g}"
-            )
-        return seen
+        return replace(self, sigma=SigmaMap("constant", sigma_max=self.sigma.limit_value()))
 
 
 RAMP_INTERVALS = 128  # quadrature intervals across a ramp of hazard rise p_inf * theta <= 1
@@ -238,8 +219,6 @@ def survival_F(model: FiringRateModel, S):
     All points share one (points x nodes) array pass; only H is formed per
     point.  A scalar S gives a float.
     """
-    if model.p_inf <= 0:
-        raise ModelError("survival_F undefined for a vanishing rate p_inf")
     if model.kind == "step":
         sig = model.sigma(S)
         return 1.0 / (1.0 / model.p_inf + sig)
@@ -284,8 +263,19 @@ def survival_F(model: FiringRateModel, S):
 
 def F_bounds(model: FiringRateModel, S_lo: float, S_hi: float,
              n: int = 201) -> tuple[float, float]:
-    """Sampled bounds (sup |F'| x 1.05, sup F) over [S_lo, S_hi] from one sample of F."""
+    """Bounds (sup |F'|, sup F) over [S_lo, S_hi].
+
+    For the step kind both are exact: F = 1/(1/p_inf + sigma(S)) is non-increasing with
+    |F'| = sigma' F^2, so sup F = F(S_lo) and sup |F'| = F(S0)^2 at the lowest S0 of the
+    band where sigma rises (S >= 0, below a bounded map's cap), or 0 where it never does.
+    The smooth kind samples F at n points: the largest slope x 1.05 and the largest value.
+    """
     S_hi = max(S_hi, S_lo + 1e-9)  # degenerate band: probe a point neighborhood
+    if model.kind == "step":
+        S0 = max(S_lo, 0.0)
+        rises = model.sigma.lipschitz > 0 and S0 < min(S_hi, model.sigma.limit_value())
+        F0 = survival_F(model, S0)
+        return F0 * F0 if rises else 0.0, survival_F(model, S_lo)
     S_vals = np.linspace(S_lo, S_hi, n)
     F_vals = np.asarray(survival_F(model, S_vals))
     slopes = np.abs(np.diff(F_vals) / np.diff(S_vals))
@@ -305,10 +295,10 @@ class LearningRule:
 
     def __post_init__(self) -> None:
         if self.kind not in ("hebbian", "gaussian_sigmoid"):
-            raise ModelError(f"unknown learning rule: {self.kind!r}")
+            raise ModelError(f"unknown learning rule: {self.kind!r}", field="kind")
         _require_finite(self, ("gamma",))
         if self.gamma < 0:
-            raise ModelError(f"gamma must be nonnegative, got {self.gamma}")
+            raise ModelError(f"gamma must be nonnegative, got {self.gamma}", field="gamma")
 
     def evaluate(self, Na, Nb):
         Na = np.asarray(Na, dtype=float)
@@ -350,21 +340,22 @@ class InputModel:
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "sin_squared", "table"):
-            raise ModelError(f"unknown input kind: {self.kind!r}")
+            raise ModelError(f"unknown input kind: {self.kind!r}", field="kind")
         _require_finite(self, ("amplitude", "k"))
         if self.table is not None and not np.all(np.isfinite(self.table)):
-            raise ModelError(f"input table values must be finite, got {self.table}")
+            raise ModelError(f"input table must be finite, got {self.table}", field="table")
         if self.kind == "table" and self.table is None:
-            raise ModelError("table input needs explicit values")
+            raise ModelError("table input needs explicit values", field="table")
         if self.kind != "table" and self.amplitude < 0:
-            raise ModelError(f"built-in inputs must be nonnegative, got {self.amplitude}")
+            raise ModelError(f"built-in inputs need amplitude >= 0, got {self.amplitude}",
+                             field="amplitude")
 
-    def evaluate(self, space: SpatialGrid, t: float = 0.0) -> np.ndarray:
+    def evaluate(self, space: SpatialGrid) -> np.ndarray:
         if self.kind == "table":
             vals = np.asarray(self.table, dtype=float)
             if vals.shape != (space.nx,):
                 raise ModelError(
-                    f"input table has {vals.size} entries, grid needs {space.nx}"
+                    f"input table has {vals.size} entries, grid needs {space.nx}", field="table"
                 )
             return self.k * vals
         if self.kind == "sin_squared":
@@ -393,3 +384,17 @@ def stimulation_bounds(
     lo = float(np.min(input_values))
     hi = A * model.p_inf * g_max + float(np.max(input_values))
     return lo, hi
+
+
+def check_reachable_threshold(age: AgeGrid, model: FiringRateModel, rule: LearningRule,
+                              w0_max: float, g_max: float, input_values: np.ndarray) -> None:
+    """Refuse an age domain that the firing threshold can reach: s_max must exceed
+    sup sigma over the stimulation band of `stimulation_bounds`.  A threshold infinite
+    on the whole band (a constant sigma = inf) never fires and is pure transport."""
+    lo, hi = stimulation_bounds(model, rule, w0_max, g_max, input_values)
+    threshold = model.sigma.sup_over(lo, hi)
+    if threshold >= age.s_max and model.sigma(lo) < np.inf:
+        raise GridError(
+            f"s_max = {age.s_max} must strictly exceed the reachable firing "
+            f"threshold {threshold:.6g} (stimulation bound {hi:.6g})", field="s_max",
+        )

@@ -37,11 +37,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fixedpoint import PicardError, damped_fixed_point
-from .grids import AgeGrid, ConnectivityKernel, DensityField, GridError, SpatialGrid
-from .models import FiringRateModel, InputModel, LearningRule, ModelError, stimulation_bounds
+from .grids import AgeGrid, ConnectivityKernel, DensityField, FieldError, GridError, SpatialGrid
+from .models import (FiringRateModel, InputModel, LearningRule, ModelError,
+                     check_reachable_threshold)
 
 
-class CFLError(RuntimeError):
+class CFLError(FieldError, RuntimeError):
     """Explicit step too large for the upwind stability/positivity bound."""
 
 
@@ -61,13 +62,13 @@ class PicardOptions:
 
     def __post_init__(self) -> None:
         if self.mode not in ("lagged", "iterate"):
-            raise ValueError(f"picard mode must be 'lagged' or 'iterate', got {self.mode!r}")
+            raise ModelError(f"unknown picard mode: {self.mode!r}", field="mode")
         if not 0 < self.tol < np.inf:
-            raise ValueError(f"picard tol must be positive and finite, got {self.tol}")
+            raise ModelError(f"tol must be positive and finite, got {self.tol}", field="tol")
         if self.max_iters < 1:
-            raise ValueError(f"picard max_iters must be at least 1, got {self.max_iters}")
+            raise ModelError(f"max_iters must be >= 1, got {self.max_iters}", field="max_iters")
         if not 0 < self.damping <= 1:
-            raise ValueError(f"picard damping must lie in (0, 1], got {self.damping}")
+            raise ModelError(f"damping must lie in (0, 1], got {self.damping}", field="damping")
 
 
 @dataclass(frozen=True)
@@ -77,13 +78,14 @@ class SolverConfig:
     picard: PicardOptions = field(default_factory=PicardOptions)
 
     def __post_init__(self) -> None:
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        # epsilon first: an auto dt is epsilon ds / 2, so a bad epsilon makes a bad dt
         if not 0 < self.epsilon <= 1:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+            raise ModelError(f"epsilon must lie in (0, 1], got {self.epsilon}", field="epsilon")
+        if not 0 < self.dt < np.inf:
+            raise ModelError(f"dt must be positive and finite, got {self.dt}", field="dt")
 
     def validate(self, age: AgeGrid, model: FiringRateModel) -> None:
-        """Stability checks: dt*p_inf <= 1, dt/eps <= ds, ds*p_inf <= 2.
+        """Stability checks of the step: dt*p_inf <= 1 and dt/eps <= ds.
 
         The sharper positivity bound dt/(eps*ds) + dt*r/(2*eps) <= 1 is
         enforced per step against the rates actually present on the grid
@@ -92,15 +94,11 @@ class SolverConfig:
         """
         if self.dt * model.p_inf > 1.0 + 1e-12:
             raise CFLError(
-                f"dt = {self.dt} violates dt * p_inf <= 1 (p_inf = {model.p_inf})"
+                f"dt = {self.dt} violates dt * p_inf <= 1 (p_inf = {model.p_inf})", field="dt"
             )
         if self.dt / self.epsilon > age.ds * (1.0 + 1e-12):
             raise CFLError(
-                f"dt/epsilon = {self.dt / self.epsilon} exceeds ds = {age.ds}"
-            )
-        if age.ds * model.p_inf > 2.0:
-            raise CFLError(
-                f"ds = {age.ds} too coarse for p_inf = {model.p_inf} (needs ds*p_inf <= 2)"
+                f"dt/epsilon = {self.dt / self.epsilon} exceeds ds = {age.ds}", field="dt"
             )
 
 
@@ -187,10 +185,13 @@ class Stepper:
 
     def __init__(self, n: DensityField, model: FiringRateModel, cfg: SolverConfig):
         cfg.validate(n.age, model)
+        if n.age.ds * model.p_inf > 2.0:
+            raise CFLError(
+                f"ds = {n.age.ds} too coarse for p_inf = {model.p_inf} (needs ds*p_inf <= 2)")
         self.age, self.model, self.cfg = n.age, model, cfg
         self.lam = cfg.dt / (cfg.epsilon * n.age.ds)
         self.h = cfg.dt / (2.0 * cfg.epsilon)  # the loss weight of each interval end
-        # B >= 0 as validate bounds ds p_inf by 2, A >= 0 under the positivity check:
+        # B >= 0 as ds p_inf <= 2, A >= 0 under the positivity check:
         # both are clamped at 0 against round-off
         self.values = n.values.copy()
         self.nbar, self.rates, self.A, self.B = (np.empty_like(n.values[1:]) for _ in range(4))
@@ -254,9 +255,9 @@ class Stepper:
 
     def flux(self) -> np.ndarray:
         """The discharge integral ds sum_i r_i nbar_i of the loaded field at the set rates;
-        the products r_i nbar_i overwrite the suffix sums."""
+        the products r_i nbar_i overwrite the suffix sums C_0 .. C_{ns-2}, never C_{ns-1} = 0."""
         self.suffix_ready = False
-        return self.widths @ np.multiply(self.rates, self.nbar, out=self.suffix[1:])
+        return self.widths @ np.multiply(self.rates, self.nbar, out=self.suffix[:-1])
 
     def advance(self, S: np.ndarray) -> np.ndarray:
         """One step of the loaded field at stimulation S, in place; returns the injected N.
@@ -333,17 +334,8 @@ def nonlinear_run(
     space, age = n0.space, n0.age
     g = n0.mass()
     I_vals = input_model.evaluate(space)
-    lo, hi = stimulation_bounds(model, rule, float(w0.values.max()), float(g.max()), I_vals)
-    threshold = model.sigma.sup_over(lo, hi)
-    if check_domain and np.isfinite(threshold) and threshold >= age.s_max:
-        # an infinite threshold means the rate vanishes identically: pure
-        # transport, used by the large-input limit reference; large-input
-        # study runs disable the check since unreachable thresholds simply
-        # mean no firing, which is the intended limit behavior
-        raise GridError(
-            f"s_max = {age.s_max} does not exceed the reachable firing threshold "
-            f"{threshold:.6g}"
-        )
+    if check_domain:  # off in large-input runs, where an unreachable threshold means no firing
+        check_reachable_threshold(age, model, rule, float(w0.values.max()), float(g.max()), I_vals)
     rule.warn_if_unnormalized(model.p_inf * float(g.max()))
     recorder = Recorder(space, age, cfg.dt, t_end, save_every, snapshot_times)
 

@@ -97,7 +97,6 @@ def solve_stationary(
     problem: StationaryProblem,
     tol: float = 1e-12,
     max_iters: int = 10_000,
-    damping: float = 1.0,
     multistart: list[np.ndarray] | None = None,
 ):
     """Damped Picard iteration of the stationary map to residual < tol, from I.
@@ -112,7 +111,7 @@ def solve_stationary(
 
     def solve(start: np.ndarray) -> StationaryState:
         result = damped_fixed_point(problem.apply_T, np.asarray(start, dtype=float),
-                                    tol=tol, max_iters=max_iters, damping=damping)
+                                    tol=tol, max_iters=max_iters)
         return problem.reconstruct(result, certificate)
 
     if multistart is None:

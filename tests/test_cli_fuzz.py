@@ -6,22 +6,25 @@ import os
 import re
 import tempfile
 import warnings
+from dataclasses import fields
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elapsednet.cli import main
-from elapsednet.config import ExperimentConfig, parse_config, serialize_config
+from elapsednet.config import (ConfigError, ExperimentConfig, parse_config, serialize_config,
+                               validate_config)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-names = st.from_regex(r"[A-Za-z0-9_./-]{1,12}", fullmatch=True).filter(
-    lambda s: s not in ("none", "auto"))
+nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+# the keys a refusal may name: the configuration's own, and the --config file
+KEYS = {f.name for f in fields(ExperimentConfig)} | {"config"}
 
 
 @st.composite
 def valid_configs(draw) -> ExperimentConfig:
-    """Any configuration that validate_config accepts; the values it does not
-    bound are drawn from all finite floats."""
+    """Any configuration that validate_config accepts, except for its names, which are
+    any text; the values no rule bounds are drawn from all finite floats."""
     ns = draw(st.integers(2, 40))
     epsilon = draw(st.floats(0.1, 1.0))
     p_inf = draw(st.floats(0.05, 4.0))
@@ -31,35 +34,45 @@ def valid_configs(draw) -> ExperimentConfig:
     sigma = draw(st.sampled_from(["identity", "bounded", "constant"]))
     inputs = draw(st.sampled_from(["constant", "sin_squared", "table"]))
     nx = draw(st.integers(1, 5))
+    p_stars = st.floats(0.0, 1.0).map(lambda f: f * p_inf)
     t_end = draw(st.floats(0.01, 0.5))
     return ExperimentConfig(
         nx=nx, ns=ns, s_max=s_max, epsilon=epsilon, p_inf=p_inf,
         dt=draw(st.none() | st.floats(0.05, 1.0).map(lambda f: f * dt_max)),
         t_end=t_end, save_every=draw(st.floats(0.01, 1.0)) * t_end,
         picard=draw(st.sampled_from(["lagged", "iterate"])),
-        picard_tol=draw(finite), picard_max_iters=draw(st.integers(-5, 500)),
-        picard_damping=draw(finite),
-        rate=rate, p_star=draw(st.none() | finite), s_star=draw(st.none() | finite),
+        picard_tol=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        picard_max_iters=draw(st.integers(1, 500)),
+        picard_damping=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        rate=rate, p_star=draw(p_stars if rate == "smooth" else st.none() | p_stars),
+        s_star=draw(finite if rate == "smooth" else st.none() | finite),
         sigma=sigma,
-        sigma_max=draw(finite if sigma != "identity" else st.none() | finite),
+        sigma_max=draw(nonnegative if sigma != "identity" else st.none() | finite),
         theta=draw(st.floats(1e-3, 5.0) if rate == "smooth" else st.none() | finite),
         rule=draw(st.sampled_from(["hebbian", "gaussian_sigmoid"])),
         gamma=draw(st.floats(0.0, 1e6)),
-        input=inputs, input_amplitude=draw(finite), input_scale=draw(finite),
-        input_table=(tuple(draw(st.lists(finite, min_size=1, max_size=6)))
+        input=inputs, input_amplitude=draw(finite if inputs == "table" else nonnegative),
+        input_scale=draw(finite),
+        input_table=(tuple(draw(st.lists(finite, min_size=nx, max_size=nx)))
                      if inputs == "table" else None),
         density=draw(st.sampled_from(["homogeneous", "gaussian_profile"])),
         kernel=draw(st.sampled_from(["gaussian", "constant", "zero"])),
         kernel_amplitude=draw(finite), kernel_width=draw(finite),
         epsilon_list=tuple(draw(st.lists(finite, min_size=1, max_size=4))),
         large_input_k=tuple(draw(st.lists(finite, min_size=1, max_size=4))),
-        preset=draw(st.none() | names), out=draw(st.none() | names),
+        preset=draw(st.none() | st.text()), out=draw(st.none() | st.text()),
     )
 
 
 @settings(deadline=None)
 @given(cfg=valid_configs())
 def test_round_trip_on_random_configs(cfg):
+    """An accepted configuration reads back as itself; a refused one names a name's key."""
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        assert exc.key in ("out", "preset")
+        return
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -93,6 +106,12 @@ def small_config_texts(draw) -> str:
                      s_star=draw(st.floats(1.0, 20.0)))
     if sigma != "identity":
         lines["sigma_max"] = draw(st.floats(0.0, 5.0))
+    # at most one of these values breaks a model object's rule
+    broken = {"picard_tol": (0.0, -1e-3), "picard_damping": (0.0, 1.5),
+              "picard_max_iters": (0, -3), "p_star": (-0.25, 5.0), "sigma_max": (-0.5,)}
+    key = draw(st.none() | st.sampled_from(sorted(broken)))
+    if key is not None:
+        lines[key] = draw(st.sampled_from(broken[key]))
     return "".join(f"{key} = {value}\n" for key, value in lines.items())
 
 
@@ -111,7 +130,8 @@ def test_main_ends_in_a_manifest_or_a_key_error(command, text):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([command, "--config", path, "--out", out])
         if code == 2:
-            assert re.search(r"key '\w+'", err.getvalue()) and not os.path.exists(out)
+            key = re.search(r"key '(\w+)'", err.getvalue())
+            assert key and key.group(1) in KEYS and not os.path.exists(out)
         else:
             with open(os.path.join(out, "MANIFEST"), encoding="utf-8") as fh:
                 manifest = fh.read()

@@ -429,3 +429,12 @@ def test_readme_table_names_every_config_key():
     named = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
     assert len(named) == len(set(named))
     assert set(named) == {f.name for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("value", ["runs/a#1", " x", "x ", "none", "auto", "", "a\nb",
+                                   "a\x0bb", "a\x1cb", "a\x85b", "a\u2028b"])
+@pytest.mark.parametrize("key", ["out", "preset"])
+def test_names_that_do_not_read_back_are_refused(key, value):
+    with pytest.raises(ConfigError) as err:
+        with_overrides(parse_config(""), **{key: value})
+    assert err.value.key == key

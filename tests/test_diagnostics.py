@@ -141,7 +141,7 @@ class TestCertificates:
             model = FiringRateModel(kind="step", p_inf=1.0, sigma=SigmaMap("identity"))
         else:
             model = FiringRateModel(kind="smooth", p_inf=1.0, sigma=SigmaMap("identity"),
-                                    p_star=1.0, s_star=20.0, theta=0.5, dpdS_bound=3.0)
+                                    p_star=1.0, s_star=20.0, theta=0.5)
         rule = LearningRule("hebbian", gamma)
         w0 = ConnectivityKernel.from_function(
             space, lambda x, y: w0_amp * np.exp(-10 * (x - y) ** 2))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elapsednet.grids import AgeGrid, GridError, SpatialGrid
 from elapsednet.models import (
@@ -27,8 +29,7 @@ def smooth_model(theta, p_inf=1.0, p_star=1.0, s_star=None, sigma_kind="identity
     if s_star is None:
         s_star = 12.0  # beyond any sigma(S) sampled in these tests, plus theta
     return FiringRateModel(kind="smooth", p_inf=p_inf, sigma=sigma, p_star=p_star,
-                           s_star=s_star, theta=theta,
-                           dpdS_bound=1.5 * p_inf / theta)
+                           s_star=s_star, theta=theta)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -42,7 +43,6 @@ NON_FINITE_CASES = [
     (lambda v: FiringRateModel(**{**SMOOTH, "s_star": v}), "s_star", NAN, ModelError),
     (lambda v: FiringRateModel(**{**SMOOTH, "theta": v}), "theta", INF, ModelError),
     (lambda v: FiringRateModel(**{**SMOOTH, "p_star": v}), "p_star", NAN, ModelError),
-    (lambda v: FiringRateModel(**SMOOTH, dpdS_bound=v), "dpdS_bound", NAN, ModelError),
     (lambda v: LearningRule("hebbian", v), "gamma", NAN, ModelError),
     (lambda v: LearningRule("hebbian", v), "gamma", INF, ModelError),
     (lambda v: SigmaMap("bounded", sigma_max=v), "sigma_max", NAN, ModelError),
@@ -103,13 +103,14 @@ class TestFiringRate:
                 assert np.all(p[tail] >= m.lower_rate - 1e-12)
 
     def test_dpdS_bound_checked_by_sampling(self):
-        m = smooth_model(0.1)
-        seen = m.check_dpdS_bound(0.0, 5.0)
+        # central differences in S on a grid of ages past the ramp at the largest S
+        m, n = smooth_model(0.1), 400
+        S = np.linspace(0.0, 5.0, n)[None, :]
+        s = np.linspace(0.0, 5.0 + m.theta + 1.0, 4 * n)[:, None]
+        h = 5.0 / (8 * n)
+        seen = np.abs(m.evaluate(s, S + h) - m.evaluate(s, S - h)).max() / (2 * h)
         assert seen <= m.dpdS_bound * (1 + 1e-6)
-        bad = FiringRateModel(kind="smooth", p_inf=1.0, sigma=SigmaMap("identity"),
-                              p_star=1.0, s_star=12.0, theta=0.1, dpdS_bound=1.0)
-        with pytest.raises(ModelError):
-            bad.check_dpdS_bound(0.0, 5.0)
+        assert m.dpdS_bound == 1.5 * m.p_inf / m.theta
 
     def test_validation(self):
         with pytest.raises(ModelError):
@@ -190,10 +191,26 @@ class TestSurvivalF:
         bound = m.p_inf**2 * m.dpdS_bound * (s_star**2 / 2 + s_star / p_star + 1 / p_star**2)
         assert sampled <= bound
 
+    @settings(deadline=None)
+    @given(p_inf=st.floats(0.05, 20.0),
+           sigma_kind=st.sampled_from(["identity", "bounded", "constant"]),
+           sigma_max=st.floats(0.0, 10.0), lo=st.floats(-5.0, 15.0), width=st.floats(1e-3, 20.0))
+    def test_step_F_bounds_hold_every_slope(self, p_inf, sigma_kind, sigma_max, lo, width):
+        model = step_model(p_inf, sigma_kind, None if sigma_kind == "identity" else sigma_max)
+        lip, sup = F_bounds(model, lo, lo + width)
+        S = np.linspace(lo, lo + width, 10_000)
+        F = np.asarray(survival_F(model, S))
+        h = np.diff(S)
+        # F rounds 3 times (1.5 eps relative), so a difference is off by at most 3 eps max F;
+        # twice that over the smallest step, and 2 eps relative for the quotient's roundings
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(np.diff(F)) / h) <= lip * (1 + 2 * eps) + 6 * eps * F.max() / h.min()
+        assert sup == F.max()
+
     def test_vanishing_rate_rejected(self):
-        m = step_model(p_inf=0.0)
-        with pytest.raises(ModelError):
-            survival_F(m, 1.0)
+        # F is undefined for p_inf = 0, and the rate model itself refuses it
+        with pytest.raises(ModelError, match="p_inf"):
+            step_model(p_inf=0.0)
 
 
 class TestLearningRule:

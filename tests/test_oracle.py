@@ -60,7 +60,7 @@ def survivor_cases(draw):
     s_max = draw(st.floats(0.5, 10.0))
     # the reference divides exp(-H); p_inf * s_max <= 700 keeps it normal,
     # and above 300 the correlation runs in several rescaled blocks
-    p_inf = draw(st.floats(0.0, 700.0)) / s_max
+    p_inf = draw(st.floats(0.0, 700.0, exclude_min=True, allow_subnormal=False)) / s_max
     model = draw(rate_models(p_inf))
     S = np.array(draw(st.lists(st.floats(-1.0, s_max + 1.0), min_size=nx, max_size=nx)))
     n_a = draw(hnp.arrays(np.float64, (fine_ns, nx),
@@ -288,7 +288,7 @@ def clip_smooth_hazard(model, s, S):
 
 
 @settings(deadline=None)
-@given(model=st.floats(0.0, 5.0).flatmap(rate_models),
+@given(model=st.floats(0.0, 5.0, exclude_min=True, allow_subnormal=False).flatmap(rate_models),
        s=hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(0.0, 20.0)),
        S=hnp.arrays(np.float64, st.integers(1, 4), elements=st.floats(-2.0, 12.0)))
 def test_cumulative_hazard_columns_match_single_S(model, s, S):
@@ -305,7 +305,7 @@ def test_cumulative_hazard_columns_match_single_S(model, s, S):
 
 
 def test_smooth_survival_F_rejects_vanishing_rate():
-    model = FiringRateModel(kind="smooth", p_inf=0.0, sigma=SigmaMap("identity"),
-                            p_star=0.0, s_star=1.0, theta=0.5)
-    with pytest.raises(ModelError):
-        survival_F(model, 1.0)
+    # F is undefined for p_inf = 0, and the rate model itself refuses it
+    with pytest.raises(ModelError, match="p_inf"):
+        FiringRateModel(kind="smooth", p_inf=0.0, sigma=SigmaMap("identity"),
+                        p_star=0.0, s_star=1.0, theta=0.5)

@@ -292,8 +292,7 @@ class TestSmoothRate:
         # ramp saturates by sigma + theta; the reachable thresholds stay
         # below s_star so the floor never overrides the ramp here
         return FiringRateModel(kind="smooth", p_inf=1.0, sigma=SigmaMap("identity"),
-                               p_star=1.0, s_star=16.0, theta=theta,
-                               dpdS_bound=1.5 / theta)
+                               p_star=1.0, s_star=16.0, theta=theta)
 
     def test_run_invariants(self):
         age, space = AgeGrid(ns=400, s_max=20.0), SpatialGrid(nx=8)

@@ -127,8 +127,7 @@ class TestSmoothRateStationary:
         space = SpatialGrid(nx=16)
         age = AgeGrid(ns=400, s_max=20.0)
         model = FiringRateModel(kind="smooth", p_inf=1.0, sigma=SigmaMap("identity"),
-                                p_star=1.0, s_star=16.0, theta=1e-3,
-                                dpdS_bound=1.5e3)
+                                p_star=1.0, s_star=16.0, theta=1e-3)
         rule = LearningRule("hebbian", 1.0)
         prob = StationaryProblem(space, age, np.ones(16), model, rule, np.ones(16))
         state = solve_stationary(prob, tol=1e-11)

@@ -22,6 +22,8 @@ from elapsednet.renewal import (
 # precision, so the comparisons carry this absolute floor.
 UNDERFLOW_FLOOR = 1e-290
 DENSITY = st.floats(0.0, 10.0, allow_subnormal=False)
+# ds * p_inf in (0, 2]; no subnormal, which dividing by ds could round to p_inf = 0
+DS_RATE = st.floats(0.0, 2.0, exclude_min=True, allow_subnormal=False)
 
 
 @st.composite
@@ -64,7 +66,7 @@ def test_fast_activity_matches_interval_quadrature(data):
     n = data.draw(grids())
     age = n.age
     # ds * p_inf <= 2 is the stepper's coarse-grid bound
-    model = FiringRateModel(kind="step", p_inf=data.draw(st.floats(0.0, 2.0)) / age.ds,
+    model = FiringRateModel(kind="step", p_inf=data.draw(DS_RATE) / age.ds,
                             sigma=data.draw(sigma_maps(age)))
     S = np.array(data.draw(st.lists(stimulation(age), min_size=n.space.nx,
                                     max_size=n.space.nx)))
@@ -84,7 +86,7 @@ def test_fast_activity_matches_interval_quadrature(data):
 def test_band_update_matches_full_fill(data):
     n = data.draw(grids())
     age, nx = n.age, n.space.nx
-    model = FiringRateModel(kind="step", p_inf=data.draw(st.floats(0.0, 2.0)) / age.ds,
+    model = FiringRateModel(kind="step", p_inf=data.draw(DS_RATE) / age.ds,
                             sigma=data.draw(sigma_maps(age)))
     stepper = Stepper(n, model, SolverConfig(dt=age.ds / 2))
     S = None
@@ -106,6 +108,35 @@ def test_band_update_matches_full_fill(data):
         assert stepper.rates[-1].max() == stepper.rates.max()
         assert stepper.lam + stepper.h * rates.max() <= 1 + 1e-12
         assert stepper.A.min() >= 0.0 and stepper.B.min() >= 0.0
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_activity_after_any_step_sequence_matches_a_fresh_stepper(data):
+    """`activity` reads only the loaded field, whatever ran before: the suffix row
+    past the top cell stays C_{ns-1} = 0, so thresholds in the top cell agree too."""
+    n = data.draw(grids())
+    age = n.age
+    # ds * p_inf <= 2 keeps dt = ds/2 inside the positivity bound
+    p_inf = data.draw(DS_RATE) / age.ds
+    model = FiringRateModel(kind="step", p_inf=p_inf, sigma=SigmaMap("identity"))
+    cfg = SolverConfig(dt=age.ds / 2)
+    # thresholds over the whole grid, the top cell included
+    thresholds = st.one_of(stimulation(age), st.floats((age.ns - 2) * age.ds, age.s_max))
+    draw_S = lambda: np.array(data.draw(st.lists(thresholds, min_size=n.space.nx,
+                                                 max_size=n.space.nx)))
+    stepper = Stepper(n, model, cfg)
+    stepper.set_rates(draw_S())
+    for op in data.draw(st.lists(st.sampled_from(["set_rates", "flux", "load", "advance"]),
+                                 max_size=8)):
+        if op in ("set_rates", "advance"):
+            getattr(stepper, op)(draw_S())
+        else:
+            getattr(stepper, op)()
+    stepper.load()
+    fresh = Stepper(DensityField(stepper.values.copy(), age, n.space), model, cfg)
+    S = draw_S()
+    np.testing.assert_array_equal(stepper.activity(S), fresh.activity(S))
 
 
 @pytest.mark.parametrize("ns, s_max", [(11, 1.0), (15, 20.0), (30, 5.0)])
@@ -149,7 +180,7 @@ def test_mass_conserved_at_half_cfl(data):
     age = n.age
     eps = data.draw(st.floats(0.05, 1.0))
     # ds * p_inf <= 2 keeps dt = eps*ds/2 inside the positivity bound
-    p_inf = data.draw(st.floats(0.0, 2.0)) / age.ds
+    p_inf = data.draw(DS_RATE) / age.ds
     sigma = data.draw(sigma_maps(age))
     if data.draw(st.booleans()):
         model = FiringRateModel(kind="step", p_inf=p_inf, sigma=sigma)
