@@ -197,12 +197,13 @@ def validate_config(cfg: ExperimentConfig):
         if kind in (float, tuple) and value is not None:
             if not all(map(math.isfinite, value if kind is tuple else (value,))):
                 raise ConfigError(f"not a finite number: {value!r}", key=key)
-        # a name must read back as itself: one line, no '#', no outer spaces, not a word
-        # that reads as no value
+        # a name must read back as itself and be a path: one line, no '#', no NUL, no
+        # outer spaces, not a word that reads as no value
         if key in ("out", "preset") and value is not None and (
                 value.splitlines() != [value] or value != value.strip() or "#" in value
-                or value in ("none", "auto")):
-            raise ConfigError(f"{value!r} does not read back from a config file", key=key)
+                or "\x00" in value or value in ("none", "auto")):
+            raise ConfigError(f"{value!r} does not read back from a config file as a path",
+                              key=key)
     for key, choices in _CHOICES.items():
         if getattr(cfg, key) not in choices:
             raise ConfigError(f"must be one of {choices}", key=key)

@@ -148,7 +148,8 @@ class FiringRateModel:
             out = np.empty((age.ns - 1,) + sig.shape)
         if self.kind == "step":
             np.divide(np.subtract(edges[1:], sig, out=out), age.ds, out=out)
-            return np.multiply(np.clip(out, 0.0, 1.0, out=out), self.p_inf, out=out)
+            np.minimum(1.0, np.maximum(0.0, out, out=out), out=out)
+            return np.multiply(out, self.p_inf, out=out)
         p = self.evaluate(edges, S)
         return np.multiply(np.add(p[:-1], p[1:], out=out), 0.5, out=out)
 
@@ -349,6 +350,9 @@ class InputModel:
         if self.kind != "table" and self.amplitude < 0:
             raise ModelError(f"built-in inputs need amplitude >= 0, got {self.amplitude}",
                              field="amplitude")
+        scaled = self.table if self.kind == "table" else (self.amplitude,)  # profiles in [0, 1]
+        if not all(math.isfinite(self.k * float(v)) for v in scaled):
+            raise ModelError(f"k = {self.k} makes the input overflow to infinity", field="k")
 
     def evaluate(self, space: SpatialGrid) -> np.ndarray:
         if self.kind == "table":

@@ -16,13 +16,13 @@ otherwise.  Pairing the loss term with the same interval means gives the
 scheme a Crank-Nicolson stationary profile, accurate to O(ds^2).
 
 One `Stepper` takes every upwind step in place, as new_i = A_i n_i +
-B_i n_{i-1} with B = lam - dt r_i/(2 eps) and A = B + 1 - 2 lam, and sums
-the discharge products r_i nbar_i per column in one BLAS call.  For the step
-rate every interval above the cell k holding sigma(S) fires at p_inf, so
-with the suffix sums C_k of the interval means each trial activity of the
-coupling costs O(nx), and the rates and coefficients are one full fill and
-then band updates of the rows between the old and the new k, plus the one
-above (the rows below k are exactly 0, those above k + 1 exactly p_inf).
+B_i n_{i-1} with B = lam - dt r_i/(2 eps) and A = B + 1 - 2 lam, in blocks of
+rows that stay in cache.  For the step rate every interval above the cell k
+holding sigma(S) fires at p_inf, so with the suffix sums C_k of the interval
+means each trial activity of the coupling costs O(nx), and the rates change
+only in a band of rows between the old and the new k, plus the one above.
+A lagged step sums r_i nbar_i once, at the last step's rates, and corrects
+the sum by the band's change of rates.
 
 The connectivity kernel relaxes toward gamma * G(N(x), N(y)) and is advanced
 by the exact one-step exponential formula with the activity frozen over the
@@ -51,6 +51,7 @@ class NegativeDensityError(RuntimeError):
 
 
 NEGATIVE_SENTINEL = -1e-12
+BLOCK_ROWS = 512  # rows per block of a Stepper sweep: a block of each buffer stays in L2
 
 
 @dataclass(frozen=True)
@@ -130,15 +131,11 @@ class RunRecord:
     def final_S(self) -> np.ndarray:
         return self.S_series[-1]
 
-    @staticmethod
-    def _lookup(table: dict[float, np.ndarray], t: float) -> np.ndarray:
-        for key, value in table.items():
+    def w_snapshot_at(self, t: float) -> np.ndarray:
+        for key, value in self.w_snapshots.items():
             if abs(key - t) <= 1e-9 * max(1.0, abs(t)):
                 return value
-        raise KeyError(f"no snapshot near t = {t}; available: {sorted(table)}")
-
-    def w_snapshot_at(self, t: float) -> np.ndarray:
-        return self._lookup(self.w_snapshots, t)
+        raise KeyError(f"no snapshot near t = {t}; available: {sorted(self.w_snapshots)}")
 
 
 class Recorder:
@@ -176,11 +173,11 @@ class Recorder:
 class Stepper:
     """Explicit upwind steps of eps dn/dt + dn/ds + p(s, S) n = 0 on a copy of n.
 
-    Per step: `load` the interval means, evaluate the activity for the
-    coupling, and `advance`, whose rates stay buffered for the next `flux`.
-    `advance` spends nbar, so `load` must precede the next `flux` or `activity`.
-    Buffers of the field's size: values, nbar, rates, the update coefficients
-    A and B, and suffix (the step-kind activity's sums, or the products of `flux`).
+    Per step: N for the coupling, from `flux` at the set rates (lagged) or `activity`
+    at trial S (iterated), then `advance` at S.  `flux` and `advance` sweep the field
+    in blocks of BLOCK_ROWS rows with a slice of nbar as scratch, so `activity` forms
+    nbar and the suffix sums again when the field or nbar changed.  Buffers of the
+    field's size: values, nbar, rates, A, B and suffix (the step-kind activity's sums).
     """
 
     def __init__(self, n: DensityField, model: FiringRateModel, cfg: SolverConfig):
@@ -199,42 +196,41 @@ class Stepper:
         self.widths = np.full(n.age.ns - 1, n.age.ds)  # N = widths @ (r nbar), a column sum
         self.edges = n.age.nodes
         self.cells = None  # threshold cells of the step-kind rates once they are set
-        self.steps = 0
-        self.load()
-
-    def load(self) -> None:
-        """Form the interval means nbar = (n_{i-1} + n_i)/2 of the current field."""
-        np.add(self.values[1:], self.values[:-1], out=self.nbar)
-        self.nbar *= 0.5
-        self.suffix_ready = False
+        self.N = None  # N of the field at the set rates, from `flux` on
+        self.steps, self.loaded = 0, False
 
     def activity(self, S: np.ndarray) -> np.ndarray:
-        """N = ds sum_i r_i(S) nbar_i of the loaded field, one value per x.
+        """N = ds sum_i r_i(S) nbar_i of the field, one value per x.
 
         For the step kind every interval above the cell k holding sigma(S)
         fires at p_inf, so N = ds p_inf (C_{k+1} + frac_k nbar_k) costs O(nx).
         """
         model, ds = self.model, self.age.ds
+        if not self.loaded:  # nbar and the suffix sums of the current field
+            np.add(self.values[1:], self.values[:-1], out=self.nbar)
+            self.nbar *= 0.5
+            if model.kind == "step":
+                np.cumsum(self.nbar[::-1], axis=0, out=self.suffix[-2::-1])
+            self.loaded = True
         if model.kind != "step":
             rates = model.interval_rates(self.age, S)
             return self.widths @ np.multiply(rates, self.nbar, out=rates)
-        if not self.suffix_ready:
-            np.cumsum(self.nbar[::-1], axis=0, out=self.suffix[-2::-1])
-            self.suffix_ready = True
         sig = model.sigma(S)
         k = self.threshold_cell(sig)
-        frac = np.clip((self.edges[k + 1] - sig) / ds, 0.0, 1.0)
+        frac = np.minimum(1.0, np.maximum(0.0, (self.edges[k + 1] - sig) / ds))
         cols = np.arange(len(k))
         return ds * model.p_inf * (self.suffix[k + 1, cols] + frac * self.nbar[k, cols])
 
     def threshold_cell(self, sig: np.ndarray) -> np.ndarray:
         """Per column the cell k with s_k <= sigma < s_{k+1}, clipped to the grid."""
-        return np.clip(np.searchsorted(self.edges, sig, side="right") - 1, 0, len(self.edges) - 2)
+        k = np.searchsorted(self.edges, sig, side="right") - 1
+        return np.minimum(len(self.edges) - 2, np.maximum(0, k))
 
     def set_rates(self, S: np.ndarray) -> None:
         """The rates r at S and the coefficients B = lam - h r, A = B + 1 - 2 lam, clamped at 0;
-        after a first full step-kind fill only rows min(k_old, k) .. max(k_old, k) + 1 change."""
-        model, lam, h = self.model, self.lam, self.h
+        after a first full step-kind fill only rows min(k_old, k) .. max(k_old, k) + 1 change,
+        and N of `flux` takes their change (ds/2) sum (r - r_old)(n_{i-1} + n_i)."""
+        model, lam, h, ds, top = self.model, self.lam, self.h, self.age.ds, self.age.ns - 2
         sig = model.sigma(S)
         k = self.threshold_cell(sig) if model.kind == "step" else None
         if self.cells is None:
@@ -242,49 +238,65 @@ class Stepper:
             np.subtract(lam, np.multiply(self.rates, h, out=self.B), out=self.B)
             np.maximum(self.B, 0.0, out=self.B)
             np.maximum(np.add(self.B, 1.0 - 2.0 * lam, out=self.A), 0.0, out=self.A)
+            self.N = None
         else:
             lo = np.minimum(k, self.cells)
-            width = int((np.maximum(k, self.cells) - lo).max()) + 2
-            rows = np.minimum(lo + np.arange(width)[:, None], len(self.rates) - 1)
+            band = lo + np.arange(int((np.maximum(k, self.cells) - lo).max()) + 2)[:, None]
+            rows = np.minimum(band, top)  # rows past the top repeat it: their change counts once
             cols = np.arange(len(k))
-            rates = np.clip((self.edges[rows + 1] - sig) / self.age.ds, 0.0, 1.0) * model.p_inf
-            self.rates[rows, cols] = rates
-            self.B[rows, cols] = b = np.maximum(lam - rates * h, 0.0)
+            r = np.minimum(1.0, np.maximum(0.0, (self.edges[rows + 1] - sig) / ds)) * model.p_inf
+            if self.N is not None:
+                change = np.where(band <= top, r - self.rates[rows, cols], 0.0)
+                change *= self.values[rows, cols] + self.values[rows + 1, cols]
+                N = self.N + 0.5 * ds * change.sum(axis=0)
+                # a band that takes more than half of N leaves cancellation: form N afresh
+                self.N = N if (N >= 0.5 * self.N).all() else None
+            self.rates[rows, cols] = r
+            self.B[rows, cols] = b = np.maximum(lam - r * h, 0.0)
             self.A[rows, cols] = np.maximum(b + (1.0 - 2.0 * lam), 0.0)
         self.cells = k
 
     def flux(self) -> np.ndarray:
-        """The discharge integral ds sum_i r_i nbar_i of the loaded field at the set rates;
-        the products r_i nbar_i overwrite the suffix sums C_0 .. C_{ns-2}, never C_{ns-1} = 0."""
-        self.suffix_ready = False
-        return self.widths @ np.multiply(self.rates, self.nbar, out=self.suffix[:-1])
+        """N = ds sum_i r_i nbar_i of the field at the set rates, from the bottom block up."""
+        v, total = self.values, np.zeros(self.values.shape[1])
+        for a in range(0, len(self.rates), BLOCK_ROWS):
+            b = min(a + BLOCK_ROWS, len(self.rates))
+            scratch = np.add(v[a:b], v[a + 1 : b + 1], out=self.nbar[: b - a])
+            scratch *= self.rates[a:b]
+            total += self.widths[: b - a] @ scratch
+        self.loaded, self.N = False, 0.5 * total
+        return self.N
 
     def advance(self, S: np.ndarray) -> np.ndarray:
-        """One step of the loaded field at stimulation S, in place; returns the injected N.
+        """One step of the field at stimulation S, in place; returns the injected N.
 
-        new_i = A_i v_i + B_i v_{i-1} is v_i - lam (v_i - v_{i-1}) - (dt/eps) r_i nbar_i
-        in coefficient form, so lam = 1 with r = 0 (A = 0, B = 1) shifts exactly;
-        the absorbing row, (A + B) v + 2 B v_{ns-2}, reads v_{ns-2} and so goes
-        first.  nbar is spent: it takes r_i nbar_i for N, then B_i v_{i-1}.
+        new_i = A_i v_i + B_i v_{i-1} is v_i - lam (v_i - v_{i-1}) - (dt/eps) r_i nbar_i,
+        so lam = 1 with r = 0 (A = 0, B = 1) shifts exactly.  The absorbing row, (A + B) v
+        + 2 B v_{ns-2}, goes first, then the blocks from the top: row i reads the old v_{i-1}.
         """
         self.set_rates(S)
-        cfg, lam, v, nbar = self.cfg, self.lam, self.values, self.nbar
+        lam, v, A, B = self.lam, self.values, self.A, self.B
         # step-kind columns are non-decreasing in age: the last row holds the maximum
         r_max = float((self.rates[-1] if self.model.kind == "step" else self.rates).max())
         if (bound := lam + self.h * r_max) > 1 + 1e-12:
             raise CFLError(f"positivity bound violated: dt/(eps*ds) + dt*r_max/(2*eps) = "
                            f"{bound:.6g} > 1 (max rate {r_max:.6g})")
-        N = self.widths @ np.multiply(self.rates, nbar, out=nbar)
-        v[-1] = (self.A[-1] + self.B[-1]) * v[-1] + 2.0 * self.B[-1] * v[-2]
-        scratch = np.multiply(self.B[:-1], v[:-2], out=nbar[:-1])
-        v[1:-1] *= self.A[:-1]
-        v[1:-1] += scratch
+        if (N := self.N) is None:
+            N = self.activity(S) if self.loaded and self.model.kind == "step" else self.flux()
+        v[-1] = (A[-1] + B[-1]) * v[-1] + 2.0 * B[-1] * v[-2]
+        low = np.minimum(N.min(), v[-1].min())  # np.minimum, unlike min(), keeps a NaN
+        for a in reversed(range(0, len(v) - 2, BLOCK_ROWS)):
+            b = min(a + BLOCK_ROWS, len(v) - 2)
+            scratch = np.multiply(B[a:b], v[a:b], out=self.nbar[: b - a])
+            v[a + 1 : b + 1] *= A[a:b]
+            v[a + 1 : b + 1] += scratch
+            low = np.minimum(low, v[a + 1 : b + 1].min())
         v[0] = N
+        self.N, self.loaded = None, False
         self.steps += 1
-        low = float(v.min())
         if not low >= NEGATIVE_SENTINEL:  # NaN fails this comparison too
             raise NegativeDensityError(
-                f"density reached {low:.3e} at t = {self.steps * cfg.dt:.6g}")
+                f"density reached {low:.3e} at t = {self.steps * self.cfg.dt:.6g}")
         return N
 
 
@@ -365,7 +377,6 @@ def nonlinear_run(
 
     for step in range(1, recorder.n_steps + 1):
         # (i)-(ii): stimulation coupling on the pre-step field
-        stepper.load()
         if opts.mode == "lagged":
             # the buffered rates are those of the last transport step, at this S
             S = w @ (xw * stepper.flux()) + I_vals

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import os
 import re
 import tempfile
@@ -36,6 +37,8 @@ def valid_configs(draw) -> ExperimentConfig:
     nx = draw(st.integers(1, 5))
     p_stars = st.floats(0.0, 1.0).map(lambda f: f * p_inf)
     t_end = draw(st.floats(0.01, 0.5))
+    k = draw(finite)  # the input is k times the table or the amplitude, and must be finite
+    scaled = lambda values: values.filter(lambda v: math.isfinite(k * v))
     return ExperimentConfig(
         nx=nx, ns=ns, s_max=s_max, epsilon=epsilon, p_inf=p_inf,
         dt=draw(st.none() | st.floats(0.05, 1.0).map(lambda f: f * dt_max)),
@@ -51,9 +54,9 @@ def valid_configs(draw) -> ExperimentConfig:
         theta=draw(st.floats(1e-3, 5.0) if rate == "smooth" else st.none() | finite),
         rule=draw(st.sampled_from(["hebbian", "gaussian_sigmoid"])),
         gamma=draw(st.floats(0.0, 1e6)),
-        input=inputs, input_amplitude=draw(finite if inputs == "table" else nonnegative),
-        input_scale=draw(finite),
-        input_table=(tuple(draw(st.lists(finite, min_size=nx, max_size=nx)))
+        input=inputs, input_amplitude=draw(finite if inputs == "table" else scaled(nonnegative)),
+        input_scale=k,
+        input_table=(tuple(draw(st.lists(scaled(finite), min_size=nx, max_size=nx)))
                      if inputs == "table" else None),
         density=draw(st.sampled_from(["homogeneous", "gaussian_profile"])),
         kernel=draw(st.sampled_from(["gaussian", "constant", "zero"])),

@@ -281,9 +281,13 @@ class TestCLI:
         (("--config", "/nonexistent.cfg"), None, "config"),
         (("--config", "."), None, "config"),
         ((), "p_inf = 0\nt_end = 0.25\nnx = 4\n", "p_inf"),
+        # finite keys whose product, the input, is not finite
+        ((), "nx = 1\ninput = table\ninput_table = 1e300\ninput_scale = 1e10\n", "input_scale"),
+        ((), "input_amplitude = 1e300\ninput_scale = 1e10\n", "input_scale"),
     ], ids=["tol0", "tol-1", "amplitude", "p_star", "sigma_max", "p_inf", "dt", "table",
             "preset", "damping-1", "damping0", "damping1.5", "max_iters0", "max_iters-3",
-            "missing-config", "config-directory", "p_inf0"])
+            "missing-config", "config-directory", "p_inf0", "table-overflow",
+            "amplitude-overflow"])
     def test_model_rejections_are_config_errors(self, flags, text, key, tmp_path, capsys):
         if text is not None:
             cfg_path = tmp_path / "exp.cfg"
@@ -432,7 +436,7 @@ def test_readme_table_names_every_config_key():
 
 
 @pytest.mark.parametrize("value", ["runs/a#1", " x", "x ", "none", "auto", "", "a\nb",
-                                   "a\x0bb", "a\x1cb", "a\x85b", "a\u2028b"])
+                                   "a\x0bb", "a\x1cb", "a\x85b", "a\u2028b", "a\x00b"])
 @pytest.mark.parametrize("key", ["out", "preset"])
 def test_names_that_do_not_read_back_are_refused(key, value):
     with pytest.raises(ConfigError) as err:

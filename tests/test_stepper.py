@@ -1,6 +1,7 @@
 """The upwind Stepper: its O(nx) step-rate activity, its band updates of the
-step-rate array and update coefficients, mass conservation over random inputs,
-NaN detection, and agreement, to round-off, with the per-step loop it replaced."""
+step-rate array, update coefficients and lagged discharge integral, its sweeps
+in row blocks, mass conservation over random inputs, NaN detection, and
+agreement, to round-off, with the per-step loop it replaced."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis.extra import numpy as hnp
 from elapsednet.grids import AgeGrid, ConnectivityKernel, DensityField, SpatialGrid
 from elapsednet.models import FiringRateModel, InputModel, LearningRule, SigmaMap
 from elapsednet.renewal import (
+    BLOCK_ROWS,
     NegativeDensityError,
+    PicardOptions,
     SolverConfig,
     Stepper,
     linear_step,
@@ -113,8 +116,9 @@ def test_band_update_matches_full_fill(data):
 @settings(deadline=None)
 @given(data=st.data())
 def test_activity_after_any_step_sequence_matches_a_fresh_stepper(data):
-    """`activity` reads only the loaded field, whatever ran before: the suffix row
-    past the top cell stays C_{ns-1} = 0, so thresholds in the top cell agree too."""
+    """`activity` reads only the current field, whatever ran before: it forms nbar and
+    the suffix sums again after `flux` or `advance` spent nbar, and the suffix row past
+    the top cell stays C_{ns-1} = 0, so thresholds in the top cell agree too."""
     n = data.draw(grids())
     age = n.age
     # ds * p_inf <= 2 keeps dt = ds/2 inside the positivity bound
@@ -127,13 +131,12 @@ def test_activity_after_any_step_sequence_matches_a_fresh_stepper(data):
                                                  max_size=n.space.nx)))
     stepper = Stepper(n, model, cfg)
     stepper.set_rates(draw_S())
-    for op in data.draw(st.lists(st.sampled_from(["set_rates", "flux", "load", "advance"]),
+    for op in data.draw(st.lists(st.sampled_from(["set_rates", "flux", "activity", "advance"]),
                                  max_size=8)):
-        if op in ("set_rates", "advance"):
-            getattr(stepper, op)(draw_S())
+        if op == "flux":
+            stepper.flux()
         else:
-            getattr(stepper, op)()
-    stepper.load()
+            getattr(stepper, op)(draw_S())
     fresh = Stepper(DensityField(stepper.values.copy(), age, n.space), model, cfg)
     S = draw_S()
     np.testing.assert_array_equal(stepper.activity(S), fresh.activity(S))
@@ -165,11 +168,12 @@ def test_fast_activity_at_cell_edges_and_limits():
     model = FiringRateModel(kind="step", p_inf=2.0, sigma=SigmaMap("identity"))
     stepper = Stepper(n, model, SolverConfig(dt=age.ds / 2))
     S = np.array([-1.0, 0.0, 7 * age.ds, age.s_max, 1e9])
-    ref = age.ds * np.sum(model.interval_rates(age, S) * stepper.nbar, axis=0)
+    nbar = 0.5 * (n.values[1:] + n.values[:-1])
+    ref = age.ds * np.sum(model.interval_rates(age, S) * nbar, axis=0)
     np.testing.assert_allclose(stepper.activity(S), ref, rtol=1e-13, atol=0.0)
     assert stepper.activity(S)[3:].tolist() == [0.0, 0.0]
     # S <= 0 fires on the whole age domain
-    whole = model.p_inf * age.ds * stepper.nbar[:, 0].sum()
+    whole = model.p_inf * age.ds * nbar[:, 0].sum()
     np.testing.assert_allclose(stepper.activity(S)[0], whole, rtol=1e-13)
 
 
@@ -217,6 +221,161 @@ def test_nan_density_raises():
     model = FiringRateModel(kind="step", p_inf=1.0, sigma=SigmaMap("identity"))
     with pytest.raises(NegativeDensityError, match="nan"):
         linear_step(n, np.zeros(2), model, SolverConfig(dt=age.ds / 2))
+
+
+@pytest.mark.parametrize("row", [10, BLOCK_ROWS + 7])
+def test_nan_in_a_later_block_raises(row):
+    # below the threshold the NaN stays out of the suffix sums and so out of the step's
+    # N, which `advance` takes from them after `activity`: only the transport's minimum
+    # over its blocks, taken after a NaN-free top block, can see it
+    age, space = AgeGrid(ns=2 * BLOCK_ROWS + 100, s_max=20.0), SpatialGrid(nx=2)
+    n = DensityField.from_function(age, space, lambda s, x: np.exp(-s / 5) + 0 * x)
+    n.values[row, 1] = np.nan
+    model = FiringRateModel(kind="step", p_inf=1.0, sigma=SigmaMap("identity"))
+    stepper = Stepper(n, model, SolverConfig(dt=age.ds / 2))
+    S = np.full(2, age.nodes[-BLOCK_ROWS // 2])
+    assert np.isfinite(stepper.activity(S)).all()
+    with pytest.raises(NegativeDensityError, match="nan"):
+        stepper.advance(S)
+
+
+def test_band_change_counts_the_top_cell_once():
+    # sigma moves inside the top cell: the band's second row is clipped onto the first
+    age, space = AgeGrid(ns=10, s_max=10.0), SpatialGrid(nx=1)  # the top cell is [8, 9]
+    n = DensityField.from_function(age, space, lambda s, x: 1.0 + s + 0 * x)
+    model = FiringRateModel(kind="step", p_inf=1.0, sigma=SigmaMap("identity"))
+    stepper = Stepper(n, model, SolverConfig(dt=age.ds / 2))
+    stepper.set_rates(np.array([8.2]))
+    stepper.flux()
+    stepper.set_rates(np.array([8.3]))
+    nbar = 0.5 * (n.values[1:] + n.values[:-1])
+    ref = age.ds * np.sum(model.interval_rates(age, np.array([8.3])) * nbar, axis=0)
+    assert stepper.N is not None  # taken from the band's change, not formed afresh
+    np.testing.assert_allclose(stepper.N, ref, rtol=1e-14)
+
+
+def test_iterate_mode_forms_nbar_once_per_step(monkeypatch):
+    # the coupling solve forms nbar and the suffix sums; the step's own N reuses them,
+    # with no second pass over the field (a reload or a product in `flux`)
+    loads, fluxes = [], []
+    activity, flux = Stepper.activity, Stepper.flux
+
+    def counting_activity(self, S):
+        loads.append(not self.loaded)
+        return activity(self, S)
+
+    def counting_flux(self):
+        fluxes.append(self.steps)
+        return flux(self)
+
+    monkeypatch.setattr(Stepper, "activity", counting_activity)
+    monkeypatch.setattr(Stepper, "flux", counting_flux)
+    n0, w0, input_model = _small_problem()
+    model = FiringRateModel(kind="step", p_inf=1.0, sigma=SigmaMap("identity"))
+    cfg = SolverConfig(dt=n0.age.ds / 2, picard=PicardOptions(mode="iterate"))
+    nonlinear_run(n0, w0, model, LearningRule("hebbian", 1.0), input_model, cfg,
+                  t_end=10 * cfg.dt)
+    assert sum(loads) == 11 and len(loads) > 2 * 11
+    assert fluxes == [0]  # the initial N only
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_clamps_match_np_clip_bit_for_bit(data):
+    """The per-trial clamps use np.minimum/np.maximum in place of np.clip, which costs
+    a Python-level wrapper per call; the results are the same bits, NaN and -0.0 too."""
+    n = data.draw(grids())
+    age = n.age
+    model = FiringRateModel(kind="step", p_inf=data.draw(DS_RATE) / age.ds,
+                            sigma=SigmaMap("identity"))
+    S = np.array(data.draw(st.lists(st.one_of(stimulation(age), just_below_edges(age),
+                                              st.just(np.nan), st.just(-0.0)),
+                                    min_size=n.space.nx, max_size=n.space.nx)))
+    stepper = Stepper(n, model, SolverConfig(dt=age.ds / 2))
+    cells = np.searchsorted(age.nodes, S, side="right") - 1
+    np.testing.assert_array_equal(stepper.threshold_cell(S), np.clip(cells, 0, age.ns - 2))
+    fracs = (age.nodes[:, None][1:] - S) / age.ds
+    ref = np.clip(fracs, 0.0, 1.0) * model.p_inf
+    got = model.interval_rates(age, S)
+    assert got.tobytes() == ref.tobytes()
+    unit = np.minimum(1.0, np.maximum(0.0, fracs))
+    assert unit.tobytes() == np.clip(fracs, 0.0, 1.0).tobytes()
+
+
+def _reference_lagged_step(v, S_old, S, model, age, lam, h):
+    """One lagged step from fresh arrays: the rates of S_old and of S filled in full,
+    N at each from one full product, and the transport unblocked."""
+    nbar = 0.5 * (v[1:] + v[:-1])
+    N_lag = age.ds * np.sum(model.interval_rates(age, S_old) * nbar, axis=0)
+    rates = model.interval_rates(age, S)
+    N = age.ds * np.sum(rates * nbar, axis=0)
+    B = np.maximum(lam - rates * h, 0.0)
+    A = np.maximum(B + (1.0 - 2.0 * lam), 0.0)
+    new = np.empty_like(v)
+    new[-1] = (A[-1] + B[-1]) * v[-1] + 2.0 * B[-1] * v[-2]
+    new[1:-1] = A[:-1] * v[1:-1] + B[:-1] * v[:-2]
+    new[0] = N
+    return N_lag, N, new
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_blocked_lagged_steps_match_full_products(data):
+    """k lagged steps of the Stepper (one blocked product at the old rates, the band's
+    change of rates added, the transport in blocks from the top) against fresh arrays.
+
+    Per step both sides sum n = ns - 1 nonnegative terms r_i nbar_i ds, each formed in
+    at most 3 roundings, in different orders; a sum of n terms in any order errs by at
+    most (n - 1) u times the sum of the terms (u = eps/2), so each side's N_lag is within
+    (n + 2) u N_lag of the exact one.  The band's change, sum (r - r_old)(n_{i-1} + n_i)
+    ds/2, takes at most 3 roundings per term, (n - 1) u for its sum and one for adding
+    it to N_lag, on terms whose magnitudes sum to at most N_lag + N as the rates are
+    nonnegative.  So |N - N_ref| <= (2n + 7) u (N_lag + N) <= (n + 4) eps (N_lag + N).
+    The update A_i v_i + B_i v_{i-1} is the same expression on both sides, with the
+    same A and B (`test_band_update_matches_full_fill`), so rows 1.. agree exactly.
+    """
+    nrows = data.draw(st.one_of(st.integers(2, 40), st.sampled_from(
+        [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 37])))
+    age, space = AgeGrid(ns=nrows + 1, s_max=data.draw(st.floats(0.5, 20.0))), SpatialGrid(
+        nx=data.draw(st.integers(1, 3)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0.0, 10.0, (age.ns, space.nx)) * (rng.random((age.ns, space.nx)) < 0.9)
+    nan_row = data.draw(st.none() | st.integers(BLOCK_ROWS, age.ns - 1)) if nrows > BLOCK_ROWS \
+        else None
+    if nan_row is not None:
+        values[nan_row, data.draw(st.integers(0, space.nx - 1))] = np.nan
+    model = FiringRateModel(kind="step", p_inf=data.draw(DS_RATE) / age.ds,
+                            sigma=SigmaMap("identity"))
+    stepper = Stepper(DensityField(values, age, space), model, SolverConfig(dt=age.ds / 2))
+    lam, h, eps = stepper.lam, stepper.h, np.finfo(float).eps
+    # thresholds over the whole grid, the top cell and its edges included
+    thresholds = st.one_of(stimulation(age), st.floats(age.nodes[-2], age.s_max),
+                           st.sampled_from([age.nodes[-2], age.s_max]))
+    draw_S = lambda: np.array(data.draw(st.lists(thresholds, min_size=space.nx,
+                                                 max_size=space.nx)))
+    gain = data.draw(st.floats(0.0, 1.0))  # S = gain N_lag + drawn level, as in the coupling
+    S = draw_S()
+    stepper.set_rates(S)
+    for _ in range(data.draw(st.integers(1, 4))):
+        v, level = stepper.values.copy(), draw_S()
+        N_lag = stepper.flux()
+        S_old, S = S, gain * N_lag + level
+        if nan_row is not None:
+            with pytest.raises(NegativeDensityError, match="nan"):
+                stepper.advance(S)
+            return
+        N = stepper.advance(S)
+        N_lag_ref, N_ref, new_ref = _reference_lagged_step(v, S_old, S, model, age, lam, h)
+        tol = (age.ns + 3) * eps  # (n + 4) eps
+        assert np.all(np.abs(N_lag - N_lag_ref) <= tol * N_lag_ref + UNDERFLOW_FLOOR)
+        # S takes N_lag's error times the gain, and on each side one rounding of the
+        # product and one of the sum
+        S_ref = gain * N_lag_ref + level
+        assert np.all(np.abs(S - S_ref) <= gain * (tol * N_lag_ref + UNDERFLOW_FLOOR)
+                      + 2 * eps * (gain * N_lag_ref + np.abs(S_ref)))
+        assert np.all(np.abs(N - N_ref) <= tol * (N_lag_ref + N_ref) + UNDERFLOW_FLOOR)
+        np.testing.assert_array_equal(stepper.values[1:], new_ref[1:])
+        np.testing.assert_array_equal(stepper.values[0], N)
 
 
 def _reference_lagged_run(n0, w0, model, rule, I_vals, cfg, n_steps, S0):
