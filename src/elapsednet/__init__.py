@@ -41,7 +41,6 @@ from .renewal import (
     CFLError,
     LargeInputStudy,
     NegativeDensityError,
-    OracleError,
     PicardOptions,
     RunRecord,
     SolverConfig,

@@ -2,18 +2,11 @@
 
 Subcommands: run, limit, stationary, doeblin, epsilon-study, large-input,
 presets, version.  Experiments come from ``--preset`` or a ``--config``
-file (flags override both).  The only environment variable consulted is
-ELAPSEDNET_NUM_THREADS, which caps the BLAS/OpenMP thread pools.
+file (flags override both).  The BLAS/OpenMP thread pools are capped by
+the standard OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS.
 """
 
 from __future__ import annotations
-
-import os
-
-_threads = os.environ.get("ELAPSEDNET_NUM_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
 
 import argparse
 import sys
@@ -43,11 +36,11 @@ from .limit import epsilon_study, limit_run
 from .models import ModelError
 from .output import OutputSink, fmt, kernel_table, write_record
 from .presets import get_preset, list_presets
-from .renewal import CFLError, NegativeDensityError, OracleError, large_input_run, nonlinear_run
+from .renewal import CFLError, NegativeDensityError, large_input_run, nonlinear_run
 from .stationary import StationaryProblem, default_multistart, solve_stationary
 
-SOLVER_ERRORS = (CFLError, NegativeDensityError, PicardError, OracleError, GridError,
-                 ModelError, ConfigError)
+SOLVER_ERRORS = (CFLError, NegativeDensityError, PicardError, GridError, ModelError,
+                 ConfigError)
 
 # command-line flag (argparse dest) -> config key
 _FLAG_KEYS = {"t_end": "t_end", "epsilon": "epsilon", "save_every": "save_every",
@@ -77,7 +70,11 @@ def _load_config(args) -> ExperimentConfig:
 
 def _sink_for(cfg, fallback: str) -> OutputSink:
     directory = cfg.out or cfg.preset or fallback
-    sink = OutputSink(directory)
+    try:
+        sink = OutputSink(directory)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {directory!r}: {exc.strerror}",
+                          key="out") from None
     sink.metadata.update({
         "nx": str(cfg.nx), "ns": str(cfg.ns), "s_max": fmt(cfg.s_max),
         "dt": fmt(cfg.resolved_dt()), "epsilon": fmt(cfg.epsilon),

@@ -191,33 +191,17 @@ class ConnectivityKernel:
         return float(np.abs(self.values - self.mean()).max())
 
 
-def norms(a, b) -> dict[str, float]:
-    """Distances between two same-shaped fields, using the module quadratures.
-
-    DensityField pairs report L1_sx, Linf and Linf_x_L1_s; ConnectivityKernel
-    pairs report L1, Linf, the mean <a-b> and the sup deviation of a-b from
-    that mean; plain per-x vectors (with a grid attached via tuple) report L1
-    and Linf.
-    """
-    if isinstance(a, DensityField) and isinstance(b, DensityField):
-        if a.values.shape != b.values.shape:
-            raise GridError("density shape mismatch")
-        diff = np.abs(a.values - b.values)
-        per_x = a.age.integrate(diff)
-        return {
-            "L1_sx": float(a.space.integrate(per_x)),
-            "Linf": float(diff.max()),
-            "Linf_x_L1_s": float(per_x.max()),
-        }
-    if isinstance(a, ConnectivityKernel) and isinstance(b, ConnectivityKernel):
-        if a.values.shape != b.values.shape:
-            raise GridError("kernel shape mismatch")
-        diff = ConnectivityKernel(a.values - b.values, a.space)
-        wts = a.space.weights
-        return {
-            "L1": float(wts @ np.abs(diff.values) @ wts),
-            "Linf": float(np.abs(diff.values).max()),
-            "kernel_mean": diff.mean(),
-            "kernel_mean_deviation": diff.deviation_from_mean(),
-        }
-    raise GridError(f"unsupported field pair: {type(a).__name__}, {type(b).__name__}")
+def norms(a: DensityField, b: DensityField) -> dict[str, float]:
+    """Distances L1_sx, Linf and Linf_x_L1_s between two same-shaped density
+    fields, using the module quadratures."""
+    if not (isinstance(a, DensityField) and isinstance(b, DensityField)):
+        raise GridError(f"unsupported field pair: {type(a).__name__}, {type(b).__name__}")
+    if a.values.shape != b.values.shape:
+        raise GridError("density shape mismatch")
+    diff = np.abs(a.values - b.values)
+    per_x = a.age.integrate(diff)
+    return {
+        "L1_sx": float(a.space.integrate(per_x)),
+        "Linf": float(diff.max()),
+        "Linf_x_L1_s": float(per_x.max()),
+    }

@@ -112,10 +112,8 @@ def _write_heatmap(sink: OutputSink, stem: str, times, x_nodes, table, title: st
 
 
 def _write_deviation_trace(sink: OutputSink, record: RunRecord) -> None:
-    rows = "\n".join(
-        f"{fmt(t)} {fmt(d)}" for t, d in zip(record.times, record.w_dev_series)
-    )
-    sink.write_text("w_deviation.dat", rows + "\n")
+    sink.write_text("w_deviation.dat",
+                    format_rows(np.column_stack((record.times, record.w_dev_series)), sep=" "))
     sink.write_text(
         "w_deviation.gp",
         "set xlabel 't'\n"

@@ -38,8 +38,7 @@ import numpy as np
 
 from .fixedpoint import PicardError, damped_fixed_point
 from .grids import AgeGrid, ConnectivityKernel, DensityField, FieldError, GridError, SpatialGrid
-from .models import (FiringRateModel, InputModel, LearningRule, ModelError,
-                     check_reachable_threshold)
+from .models import FiringRateModel, InputModel, LearningRule, ModelError
 
 
 class CFLError(FieldError, RuntimeError):
@@ -243,17 +242,18 @@ class Stepper:
             lo = np.minimum(k, self.cells)
             band = lo + np.arange(int((np.maximum(k, self.cells) - lo).max()) + 2)[:, None]
             rows = np.minimum(band, top)  # rows past the top repeat it: their change counts once
-            cols = np.arange(len(k))
+            nx = len(k)
+            at = rows * nx + np.arange(nx)  # flat index into values, rates, A and B alike
             r = np.minimum(1.0, np.maximum(0.0, (self.edges[rows + 1] - sig) / ds)) * model.p_inf
             if self.N is not None:
-                change = np.where(band <= top, r - self.rates[rows, cols], 0.0)
-                change *= self.values[rows, cols] + self.values[rows + 1, cols]
+                change = np.where(band <= top, r - self.rates.take(at), 0.0)
+                change *= self.values.take(at) + self.values.take(at + nx)
                 N = self.N + 0.5 * ds * change.sum(axis=0)
                 # a band that takes more than half of N leaves cancellation: form N afresh
                 self.N = N if (N >= 0.5 * self.N).all() else None
-            self.rates[rows, cols] = r
-            self.B[rows, cols] = b = np.maximum(lam - r * h, 0.0)
-            self.A[rows, cols] = np.maximum(b + (1.0 - 2.0 * lam), 0.0)
+            self.rates.put(at, r)
+            self.B.put(at, b := np.maximum(lam - r * h, 0.0))
+            self.A.put(at, np.maximum(b + (1.0 - 2.0 * lam), 0.0))
         self.cells = k
 
     def flux(self) -> np.ndarray:
@@ -326,7 +326,6 @@ def nonlinear_run(
     save_every: float | None = None,
     snapshot_times: tuple[float, ...] = (),
     observer=None,
-    check_domain: bool = True,
 ) -> RunRecord:
     """Advance the coupled density/kernel system to t_end.
 
@@ -340,14 +339,13 @@ def nonlinear_run(
     step 0 and after every step with the live state, so studies read the
     density without the record storing it.  The initial coupling solve and,
     in 'iterate' mode, every per-step one raise PicardError when they do
-    not converge.
+    not converge.  `build_experiment`, not this function, checks that the
+    firing threshold stays inside the age domain.
     """
     stepper = Stepper(n0, model, cfg)  # validates the step sizes first
     space, age = n0.space, n0.age
     g = n0.mass()
     I_vals = input_model.evaluate(space)
-    if check_domain:  # off in large-input runs, where an unreachable threshold means no firing
-        check_reachable_threshold(age, model, rule, float(w0.values.max()), float(g.max()), I_vals)
     rule.warn_if_unnormalized(model.p_inf * float(g.max()))
     recorder = Recorder(space, age, cfg.dt, t_end, save_every, snapshot_times)
 
@@ -409,64 +407,42 @@ def nonlinear_run(
 # ---------------------------------------------------------------------------
 
 
-class OracleError(RuntimeError):
-    """Characteristics oracle could not resolve the requested evolution."""
-
-
 def characteristics_oracle(
     n0: DensityField,
-    S_path,
+    S: np.ndarray,
     model: FiringRateModel,
     t: float,
     refine: int = 8,
 ) -> DensityField:
-    """Evaluate the frozen-coupling density at time t from its Duhamel form.
+    """Evaluate the density at time t from its Duhamel form, S frozen for all time.
 
-    `S_path` is either a single per-x stimulation vector (frozen for all
-    time) or a list of (S_values, duration) pieces, constant in time on each
-    piece.  Each piece is one window of fine steps ds/refine, its duration
-    rounded up to a whole step.  Survivors transport the window-start field
-    with the accumulated hazard; the reborn part N(t - s) exp(-hazard(s))
-    closes a renewal equation for the boundary activity, marched forward by
-    product integration with exact kernel masses (see `_oracle_window`).
-    The survivors' share of the boundary activity is one correlation per
-    column over all lags of a window, rescaled blockwise so that no
-    exponential of the hazard overflows or underflows to 0/0.
+    The field is advanced as one window of fine steps ds/refine, the
+    duration rounded up to a whole number of fine steps.  Survivors transport
+    the initial field with the accumulated hazard; the reborn part
+    N(t - s) exp(-hazard(s)) closes a renewal equation for the boundary
+    activity, marched forward by product integration with exact kernel
+    masses (see `_oracle_window`).  The survivors' share of the boundary
+    activity is one correlation per column over all lags, rescaled blockwise
+    so that no exponential of the hazard overflows or underflows to 0/0.
 
     The oracle never touches the upwind stepping; it is the independent
     reference for convergence tests.
     """
     age, space = n0.age, n0.space
+    S = np.asarray(S, dtype=float)
+    if S.shape != (space.nx,):
+        raise GridError(f"stimulation shape {S.shape} does not match grid ({space.nx},)")
     fine = AgeGrid(ns=age.ns * refine, s_max=age.s_max)
-    delta = fine.ds
-    if isinstance(S_path, np.ndarray):
-        S_path = [(np.asarray(S_path, dtype=float), float(t))]
-    total = sum(d for _, d in S_path)
-    if t > total + 1e-12:
-        raise OracleError(f"requested t = {t} beyond the stimulation path length {total}")
-
-    s_fine = fine.nodes
+    s_fine, delta = fine.nodes, fine.ds
     values = np.zeros((fine.ns, space.nx))
     # seed the fine grid by linear interpolation of the coarse columns
     for ix in range(space.nx):
         values[:, ix] = np.interp(s_fine, age.nodes, n0.values[:, ix])
-
-    remaining = float(t)
-    for S_piece, duration in S_path:
-        S_piece = np.asarray(S_piece, dtype=float)
-        if S_piece.shape != (space.nx,):
-            raise GridError(
-                f"stimulation shape {S_piece.shape} does not match grid ({space.nx},)"
-            )
-        window = min(duration, remaining)
-        if window > 1e-14:
-            steps = window / delta  # rounded up unless within round-off of a whole number
-            m = max(1, int(np.ceil(steps - 1e-9 * max(1.0, steps))))
-            values = _oracle_window(values, s_fine, S_piece, model, delta, m)
-            remaining -= m * delta
-
-    coarse = values[::refine].copy()
-    return DensityField(coarse, age, space)
+    if t > 1e-14:
+        steps = t / delta  # rounded up unless within round-off of a whole number
+        m = max(1, int(np.ceil(steps - 1e-9 * max(1.0, steps))))
+        values = _oracle_window(values, s_fine, S, model, delta, m)
+    return DensityField(values[::refine].copy(), age, space)
 
 
 def _oracle_window(
@@ -633,7 +609,7 @@ def large_input_run(
     if any(abs(k * cfg.dt - ts) > 1e-9 * max(1.0, ts) for k, ts in zip(sample_steps, sample_times)):
         raise ModelError(f"sample times {sample_times} are not all multiples of dt = {cfg.dt}")
 
-    def run(*args, **kwargs) -> tuple[RunRecord, dict[int, np.ndarray]]:
+    def run(*args) -> tuple[RunRecord, dict[int, np.ndarray]]:
         densities: dict[int, np.ndarray] = {}
 
         def keep_samples(step, values, N, S):
@@ -641,7 +617,7 @@ def large_input_run(
                 densities[step] = values.copy()
 
         rec = nonlinear_run(*args, cfg, t_end, save_every=t_end, snapshot_times=sample_times,
-                            observer=keep_samples, **kwargs)
+                            observer=keep_samples)
         return rec, densities
 
     limit_rate = model.limit_model()
@@ -652,8 +628,7 @@ def large_input_run(
     records: dict[float, RunRecord] = {}
     distances = np.zeros((len(ks), len(sample_times)))
     for i, k in enumerate(ks):
-        records[k], n_k = run(n0.copy(), w0.copy(), model, rule, input_model.scaled_by(k),
-                              check_domain=False)
+        records[k], n_k = run(n0.copy(), w0.copy(), model, rule, input_model.scaled_by(k))
         for j, step in enumerate(sample_steps):
             per_x = n0.age.integrate(np.abs(n_k[step] - limit_n[step]))
             distances[i, j] = float(n0.space.integrate(per_x))

@@ -119,7 +119,8 @@ def small_config_texts(draw) -> str:
 
 
 @settings(deadline=None)
-@given(command=st.sampled_from(["run", "limit", "stationary", "doeblin"]),
+@given(command=st.sampled_from(["run", "limit", "stationary", "doeblin", "large-input",
+                                "epsilon-study"]),
        text=small_config_texts())
 def test_main_ends_in_a_manifest_or_a_key_error(command, text):
     """Each accepted config ends in a MANIFEST: complete with exit 0, or incomplete

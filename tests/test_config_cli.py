@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import elapsednet
 from elapsednet import cli
 from elapsednet.cli import main
 from elapsednet.config import (
@@ -317,6 +318,22 @@ class TestCLI:
         monkeypatch.setattr(cli, "fit_decay", broken_fit)
         with pytest.raises(RuntimeError, match="bug"):
             run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "again"))
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_uncreatable_output_directory_is_a_config_error(self, below, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        out = blocker / below if below else blocker
+        code = run_cli("run", "--preset", "g1i1c", "--t-end", "0.25", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and "key 'out'" in err and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_solver_errors_are_the_packages_own_and_exported(self):
+        for cls in cli.SOLVER_ERRORS:
+            assert cls.__module__.startswith("elapsednet."), cls
+            assert getattr(elapsednet, cls.__name__, None) is cls, cls
 
     def test_key_error_from_a_bug_is_not_a_config_error(self, monkeypatch):
         def broken_build(cfg):

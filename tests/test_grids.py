@@ -164,15 +164,6 @@ class TestNorms:
         assert w.mean() == pytest.approx(1.0, abs=1e-13)
         assert abs(w.deviation_from_mean() - 1.0) <= 2 * space.dx
 
-    def test_norms_on_kernels(self):
-        space = SpatialGrid(nx=16)
-        a = ConnectivityKernel.constant(space, 5.0)
-        b = ConnectivityKernel.constant(space, 0.0)
-        d = norms(a, b)
-        assert d["kernel_mean"] == pytest.approx(5.0, abs=1e-13)
-        assert d["kernel_mean_deviation"] == pytest.approx(0.0, abs=1e-13)
-        assert d["L1"] == pytest.approx(5.0, abs=1e-13)
-
     def test_triangle_inequality_and_positivity(self):
         rng = np.random.default_rng(11)
         age, space = AgeGrid(ns=15, s_max=3.0), SpatialGrid(nx=5)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from elapsednet.fixedpoint import PicardError, damped_fixed_point
-from elapsednet.grids import AgeGrid, ConnectivityKernel, DensityField, SpatialGrid, norms
+from elapsednet.grids import (AgeGrid, ConnectivityKernel, DensityField, GridError, SpatialGrid,
+                              norms)
 from elapsednet.models import FiringRateModel, InputModel, LearningRule, ModelError, SigmaMap
 from elapsednet.renewal import (
     CFLError,
@@ -130,20 +131,23 @@ class TestCharacteristicsOracle:
         out = characteristics_oracle(n0, np.zeros(2), model, t=17.0, refine=4)
         assert np.abs(out.values - np.exp(-age.nodes)[:, None]).max() < 5e-4
 
-    def test_piecewise_constant_path(self):
-        # switching the stimulation mid-run must match a single long piece
-        # when the two pieces carry the same value
-        age, space = AgeGrid(ns=200, s_max=10.0), SpatialGrid(nx=2)
-        model = step_model()
-        n0 = DensityField.from_function(age, space,
-                                        lambda s, x: np.exp(-((s - 1.0) / 0.3) ** 2) + 0 * x)
+    def test_misshaped_stimulation_is_refused(self):
+        age, space = AgeGrid(ns=20, s_max=2.0), SpatialGrid(nx=2)
+        n0 = DensityField.from_function(age, space, lambda s, x: np.exp(-s) + 0 * x)
+        with pytest.raises(GridError, match="stimulation shape"):
+            characteristics_oracle(n0, np.zeros(3), step_model(), t=0.5, refine=4)
+
+    def test_zero_time_returns_the_datum(self):
+        age, space = AgeGrid(ns=50, s_max=5.0), SpatialGrid(nx=2)
+        n0 = DensityField.from_function(age, space, lambda s, x: np.exp(-s) * (1 + x))
         S = np.full(2, 1.5)
-        one = characteristics_oracle(n0, S, model, t=1.0, refine=4)
-        two = characteristics_oracle(n0, [(S, 0.5), (S, 0.5)], model, t=1.0, refine=4)
-        np.testing.assert_allclose(one.values, two.values, atol=1e-12)
-        # an empty piece advances nothing and does not end the path
-        gap = characteristics_oracle(n0, [(S, 0.5), (S, 0.0), (S, 0.5)], model, t=1.0, refine=4)
-        np.testing.assert_allclose(one.values, gap.values, atol=1e-12)
+        # with a power-of-two refine the coarse nodes are fine nodes exactly
+        for refine in (4, 8):
+            out = characteristics_oracle(n0, S, step_model(), t=0.0, refine=refine)
+            np.testing.assert_array_equal(out.values, n0.values)
+        # otherwise a node moves by an ulp of s, and s |n0'| <= max n0 here: a few ulps of max n0
+        out = characteristics_oracle(n0, S, step_model(), t=0.0, refine=7)
+        np.testing.assert_allclose(out.values, n0.values, rtol=0, atol=4e-16 * n0.values.max())
 
     def test_matches_closed_form_for_unit_rate(self):
         # with p = 1 for all s > 0 the activity equals the conserved mass m0,
@@ -391,6 +395,15 @@ class TestLargeInput:
                                     t_end=1.0, sample_times=(1.0,))
         assert study.distances[1, 0] < study.distances[0, 0]
         assert study.distances[1, 0] <= 1e-2
+
+    def test_limit_threshold_past_the_age_domain_never_fires(self):
+        # sigma(inf) = 20 > s_max = 16: the limit rate, like the runs at large k, is unreachable
+        n0, w0, model, rule, I, cfg = self._setup("bounded", 20.0, "constant")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            study = large_input_run([1.0, 10.0], n0, w0, model, rule, I, cfg, t_end=0.25)
+        assert not study.limit_record.N_series.any()
+        assert study.distances[1, 0] < study.distances[0, 0]
 
     def test_identity_sigma_activity_vanishes(self):
         n0, w0, model, rule, I, cfg = self._setup("identity", None, "constant")
