@@ -52,7 +52,6 @@ from .renewal import (
 from .stationary import (
     StationaryProblem,
     StationaryState,
-    default_multistart,
     scalar_stationary,
     solve_stationary,
 )

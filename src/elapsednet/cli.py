@@ -37,7 +37,7 @@ from .models import ModelError
 from .output import OutputSink, fmt, kernel_table, write_record
 from .presets import get_preset, list_presets
 from .renewal import CFLError, NegativeDensityError, large_input_run, nonlinear_run
-from .stationary import StationaryProblem, default_multistart, solve_stationary
+from .stationary import StationaryProblem, solve_stationary
 
 SOLVER_ERRORS = (CFLError, NegativeDensityError, PicardError, GridError, ModelError,
                  ConfigError)
@@ -108,16 +108,11 @@ def _record_lines(sink: OutputSink, record) -> list[str]:
 _WROTE_FILES = "wrote {files} files to {directory}"
 
 
-def _solve_run(exp: Experiment, args):
+def _run(exp: Experiment, args, sink: OutputSink):
     cfg = exp.config
-    return nonlinear_run(
-        exp.n0, exp.w0, exp.model, exp.rule, exp.input_model, exp.solver,
-        cfg.t_end, save_every=cfg.save_every,
-        snapshot_times=(0.0, cfg.t_end / 2.0, cfg.t_end),
-    )
-
-
-def _report_run(exp: Experiment, record, sink: OutputSink):
+    record = nonlinear_run(exp.n0, exp.w0, exp.model, exp.rule, exp.input_model, exp.solver,
+                           cfg.t_end, save_every=cfg.save_every,
+                           snapshot_times=(0.0, cfg.t_end / 2.0, cfg.t_end))
     summary = _record_lines(sink, record)
     summary.append(f"max |mass - g| = {fmt(float(np.abs(record.mass_series - exp.g).max()))}")
     try:
@@ -129,26 +124,20 @@ def _report_run(exp: Experiment, record, sink: OutputSink):
     return summary + _certificate_lines(exp), _WROTE_FILES
 
 
-def _solve_limit(exp: Experiment, args):
+def _limit(exp: Experiment, args, sink: OutputSink):
     cfg = exp.config
-    return limit_run(
-        exp.w0, exp.g, exp.model, exp.rule, exp.input_model, exp.age,
-        dt=cfg.resolved_dt(), t_end=cfg.t_end, save_every=cfg.save_every,
-        snapshot_times=(0.0, cfg.t_end), inner_tol=cfg.picard_tol,
-    )
+    record = limit_run(exp.w0, exp.g, exp.model, exp.rule, exp.input_model,
+                       dt=cfg.resolved_dt(), t_end=cfg.t_end, save_every=cfg.save_every,
+                       snapshot_times=(0.0, cfg.t_end), inner_tol=cfg.picard_tol)
+    return _record_lines(sink, record) + _certificate_lines(exp), _WROTE_FILES
 
 
-def _solve_stationary(exp: Experiment, args):
+def _stationary(exp: Experiment, args, sink: OutputSink):
     problem = StationaryProblem(exp.space, exp.age, exp.g, exp.model, exp.rule,
                                 exp.input_model.evaluate(exp.space))
-    tol = args.tol if args.tol is not None else 1e-12
-    states = solve_stationary(problem, tol=tol, multistart=default_multistart(problem))
+    states = solve_stationary(problem, tol=args.tol if args.tol is not None else 1e-12)
     if not states:
         raise PicardError("no converged stationary state from any start", float("nan"))
-    return states
-
-
-def _report_stationary(exp: Experiment, states, sink: OutputSink):
     state = states[0]
     sink.write_csv("stationary.csv", ["x", "S_star", "N_star"],
                    np.column_stack((exp.space.nodes, state.S_star, state.N_star)))
@@ -166,7 +155,8 @@ def _report_stationary(exp: Experiment, states, sink: OutputSink):
             f"stationary residual {fmt(state.residual)}; wrote to {{directory}}")
 
 
-def _report_doeblin(exp: Experiment, report, sink: OutputSink):
+def _doeblin(exp: Experiment, args, sink: OutputSink):
+    report = doeblin_check(exp.n0, exp.input_model.evaluate(exp.space), exp.model)
     return [
         f"alpha = {fmt(report.alpha)}",
         f"lambda_theory = {fmt(report.lambda_theory)}",
@@ -178,13 +168,10 @@ def _report_doeblin(exp: Experiment, report, sink: OutputSink):
     ], None
 
 
-def _solve_epsilon_study(exp: Experiment, args):
+def _epsilon_study(exp: Experiment, args, sink: OutputSink):
     cfg = exp.config
-    return epsilon_study(cfg.epsilon_list, exp.n0, exp.w0, exp.model, exp.rule,
-                         exp.input_model, T=cfg.t_end, picard=exp.solver.picard)
-
-
-def _report_epsilon_study(exp: Experiment, study, sink: OutputSink):
+    study = epsilon_study(cfg.epsilon_list, exp.n0, exp.w0, exp.model, exp.rule,
+                          exp.input_model, T=cfg.t_end, picard=exp.solver.picard)
     sink.write_csv("epsilon_distances.csv", ["epsilon", "dist_n_L1_tsx", "dist_N_L1_tx"],
                    np.column_stack((study.epsilons, study.dist_n, study.dist_N)))
     return [f"T = {fmt(study.T)}", f"fitted order in epsilon = {fmt(study.fitted_order)}"], None
@@ -197,16 +184,11 @@ def _large_input_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
-def _solve_large_input(exp: Experiment, args):
+def _large_input(exp: Experiment, args, sink: OutputSink):
     cfg = exp.config
-    return large_input_run(
-        cfg.large_input_k, exp.n0, exp.w0, exp.model, exp.rule,
-        exp.input_model, exp.solver, t_end=cfg.t_end,
-        sample_times=(cfg.t_end / 2.0, cfg.t_end),
-    )
-
-
-def _report_large_input(exp: Experiment, study, sink: OutputSink):
+    study = large_input_run(cfg.large_input_k, exp.n0, exp.w0, exp.model, exp.rule,
+                            exp.input_model, exp.solver, t_end=cfg.t_end,
+                            sample_times=(cfg.t_end / 2.0, cfg.t_end))
     header = ["k"] + [f"dist_t{fmt(t)}" for t in study.sample_times]
     sink.write_csv("large_input_distances.csv", header,
                    np.column_stack((study.ks, study.distances)))
@@ -217,38 +199,29 @@ def _report_large_input(exp: Experiment, study, sink: OutputSink):
 class Command(NamedTuple):
     help: str
     out: str  # output directory when neither --out nor a preset names one
-    solve: Callable  # (experiment, args) -> result; may raise SOLVER_ERRORS
-    # (experiment, result, sink) -> (summary lines, stdout template with {files}
-    # and {directory}, or None to echo the summary); may raise SOLVER_ERRORS
-    report: Callable
+    # (experiment, args, sink) -> (summary lines, stdout template with {files} and
+    # {directory}, or None to echo the summary); may raise SOLVER_ERRORS
+    run: Callable
     adjust: Callable | None = None  # config -> config, before the build
 
 
 COMMANDS = {
-    "run": Command("integrate the full density/kernel system", "run_output",
-                   _solve_run, _report_run),
-    "limit": Command("integrate the slow-learning limit system", "limit_output",
-                     _solve_limit,
-                     lambda exp, record, sink: (_record_lines(sink, record)
-                                                + _certificate_lines(exp), _WROTE_FILES)),
-    "stationary": Command("solve the stationary fixed point", "stationary_output",
-                          _solve_stationary, _report_stationary),
+    "run": Command("integrate the full density/kernel system", "run_output", _run),
+    "limit": Command("integrate the slow-learning limit system", "limit_output", _limit),
+    "stationary": Command("solve the stationary fixed point", "stationary_output", _stationary),
     "doeblin": Command("check the minorization bound of the frozen dynamics", "doeblin_output",
-                       lambda exp, args: doeblin_check(
-                           exp.n0, exp.input_model.evaluate(exp.space), exp.model),
-                       _report_doeblin),
+                       _doeblin),
     "epsilon-study": Command("distances to the limit system over epsilon", "epsilon_output",
-                             _solve_epsilon_study, _report_epsilon_study),
+                             _epsilon_study),
     "large-input": Command("distances to the frozen-rate limit over k", "large_input_output",
-                           _solve_large_input, _report_large_input,
-                           adjust=_large_input_config),
+                           _large_input, adjust=_large_input_config),
 }
 
 
 def run_command(args) -> int:
-    """Load, adjust and build the experiment, solve and report, then write the summary
-    and MANIFEST; one of SOLVER_ERRORS from the solve or the report leaves an
-    incomplete MANIFEST and exit code 1."""
+    """Load, adjust and build the experiment, run the command, then write the summary
+    and MANIFEST; one of SOLVER_ERRORS from the command leaves an incomplete MANIFEST
+    and exit code 1."""
     command = COMMANDS[args.command]
     cfg = _load_config(args)
     if command.adjust is not None:
@@ -256,7 +229,7 @@ def run_command(args) -> int:
     exp = build_experiment(cfg)
     sink = _sink_for(cfg, command.out)
     try:
-        lines, stdout = command.report(exp, command.solve(exp, args), sink)
+        lines, stdout = command.run(exp, args, sink)
     except SOLVER_ERRORS as exc:
         sink.write_manifest(status="incomplete", error=str(exc))
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,8 @@ import numpy as np
 from .grids import AgeGrid, ConnectivityKernel, DensityField, FieldError, SpatialGrid
 from .models import (FiringRateModel, InputModel, LearningRule, SigmaMap,
                      check_reachable_threshold)
-from .renewal import PicardOptions, SolverConfig
+from .limit import check_epsilons, epsilon_study
+from .renewal import PicardOptions, SolverConfig, check_ks, large_input_run
 
 
 class ConfigError(ValueError):
@@ -86,8 +87,8 @@ _CHOICES = {
     "kernel": ("gaussian", "constant", "zero"),
 }
 
-# each model object's constructor field -> the config key that supplies it; a refusal
-# that names the field is reported under that key
+# each model object's constructor field, or a checked argument of a solver, -> the config
+# key that supplies it; a refusal that names the field is reported under that key
 _KEYS = {
     SpatialGrid: {"nx": "nx"},
     AgeGrid: {"ns": "ns", "s_max": "s_max"},
@@ -100,6 +101,9 @@ _KEYS = {
     PicardOptions: {"mode": "picard", "tol": "picard_tol", "max_iters": "picard_max_iters",
                     "damping": "picard_damping"},
     SolverConfig: {"dt": "dt", "epsilon": "epsilon"},
+    SolverConfig.validate: {"dt": "dt", "age": "ns"},
+    epsilon_study: {"eps_list": "epsilon_list"},
+    large_input_run: {"k_values": "large_input_k"},
 }
 
 
@@ -214,7 +218,9 @@ def validate_config(cfg: ExperimentConfig):
     model = _make(FiringRateModel, cfg, sigma=_make(SigmaMap, cfg))
     rule, input_model = _make(LearningRule, cfg), _make(InputModel, cfg)
     solver = _make(SolverConfig, cfg, dt=cfg.resolved_dt(), picard=_make(PicardOptions, cfg))
-    _keyed(SolverConfig, solver.validate, age, model)
+    _keyed(SolverConfig.validate, solver.validate, age, model)
+    _keyed(epsilon_study, check_epsilons, cfg.epsilon_list)
+    _keyed(large_input_run, check_ks, cfg.large_input_k)
     return space, age, model, rule, input_model, solver
 
 

@@ -129,7 +129,6 @@ def doeblin_check(
 
 @dataclass
 class HomogenizationSeries:
-    times: np.ndarray
     w_deviation: np.ndarray
     N_deviation: np.ndarray
     S_deviation: np.ndarray
@@ -141,7 +140,6 @@ def homogenization_metrics(record: RunRecord) -> HomogenizationSeries:
     N_dev = np.abs(record.N_series - (record.N_series @ xw)[:, None]).max(axis=1)
     S_dev = np.abs(record.S_series - (record.S_series @ xw)[:, None]).max(axis=1)
     return HomogenizationSeries(
-        times=record.times,
         w_deviation=record.w_dev_series.copy(),
         N_deviation=N_dev,
         S_deviation=S_dev,

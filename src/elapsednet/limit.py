@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixedpoint import PicardError, damped_fixed_point
-from .grids import AgeGrid, ConnectivityKernel, DensityField
+from .grids import ConnectivityKernel, DensityField
 from .models import FiringRateModel, InputModel, LearningRule, ModelError, survival_F
 from .renewal import PicardOptions, Recorder, RunRecord, SolverConfig, nonlinear_run
 
@@ -61,14 +61,14 @@ def limit_run(
     model: FiringRateModel,
     rule: LearningRule,
     input_model: InputModel,
-    age: AgeGrid,
     dt: float,
     t_end: float,
     save_every: float | None = None,
     snapshot_times: tuple[float, ...] = (),
     inner_tol: float = 1e-12,
 ) -> RunRecord:
-    """Integrate the limit system: inner fixed point, then kernel relaxation.
+    """Integrate the limit system: inner fixed point, then kernel relaxation of a
+    copy of w0.  The density is slaved to S, so no age grid enters the run.
 
     Uniqueness of the inner fixed point is guaranteed when
     max(||w0||, gamma) ||F'|| < 1, the `limit_uniqueness` regime certificate;
@@ -77,24 +77,20 @@ def limit_run(
     space = w0.space
     I_vals = input_model.evaluate(space)
     g = np.asarray(g, dtype=float)
-    recorder = Recorder(space, age, dt, t_end, save_every, snapshot_times)
+    recorder = Recorder(space, dt, t_end, save_every, snapshot_times)
     decay = np.exp(-dt)
 
-    w = w0.values.copy()
-    S = inner_fixed_point(ConnectivityKernel(w, space), g, model, I_vals,
-                          S_guess=None, tol=inner_tol, damping=0.5)
+    w = w0.copy()
+    S = inner_fixed_point(w, g, model, I_vals, S_guess=None, tol=inner_tol, damping=0.5)
     N = g * np.asarray(survival_F(model, S))
-    recorder.save(0, N, S, g, w)
-    wq_holder = ConnectivityKernel(w, space)
+    recorder.save(0, N, S, g, w.values)
     for step in range(1, recorder.n_steps + 1):
         target = rule.gamma * rule.evaluate(N[:, None], N[None, :])
-        w = decay * w + (1.0 - decay) * target
-        wq_holder.values = w
-        S = inner_fixed_point(wq_holder, g, model, I_vals, S_guess=S,
-                              tol=inner_tol, damping=1.0)
+        w.values = decay * w.values + (1.0 - decay) * target
+        S = inner_fixed_point(w, g, model, I_vals, S_guess=S, tol=inner_tol, damping=1.0)
         N = g * np.asarray(survival_F(model, S))
         if recorder.due(step):
-            recorder.save(step, N, S, g, w)
+            recorder.save(step, N, S, g, w.values)
     return recorder.record()
 
 
@@ -107,6 +103,14 @@ class EpsilonStudy:
     fitted_order: float
     limit_record: RunRecord
     records: dict[float, RunRecord]
+
+
+def check_epsilons(eps_list) -> tuple[float, ...]:
+    """The study's epsilons as floats, refused unless 1 >= e_1 > e_2 > ... > 0."""
+    eps = tuple(float(e) for e in eps_list)
+    if not eps or not (1 >= eps[0] and all(a > b for a, b in zip(eps, (*eps[1:], 0.0)))):
+        raise ModelError(f"epsilons must satisfy 1 >= e_1 > ... > 0, got {eps}", field="eps_list")
+    return eps
 
 
 def epsilon_study(
@@ -129,15 +133,13 @@ def epsilon_study(
     density snapshots.  The reported order is the log-log slope of the
     density distance against epsilon.
     """
-    eps = tuple(float(e) for e in eps_list)
-    if not eps or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ModelError(f"epsilons must be positive and decreasing, got {eps}")
+    eps = check_epsilons(eps_list)
     age, space = n0.age, n0.space
     g = n0.mass()
 
     dt_limit = min(eps) * age.ds / 2.0
     limit_rec = limit_run(
-        w0.copy(), g, model, rule, input_model, age, dt_limit, T,
+        w0.copy(), g, model, rule, input_model, dt_limit, T,
         save_every=dt_limit, snapshot_times=(),
     )
 

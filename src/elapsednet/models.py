@@ -215,7 +215,8 @@ def survival_F(model: FiringRateModel, S):
     error and F stays non-increasing in S where it is constant (p_star =
     p_inf, s_star <= sigma).  The error of the trapezoid hazard grows like
     p_inf theta / n^2 on n intervals, so the ramp gets RAMP_INTERVALS times
-    ceil(sqrt(p_inf theta)) of them (at most MAX_RAMP_REFINE times).
+    ceil(sqrt(p_inf theta)) of them (at least once, as p_inf theta underflows
+    for a subnormal p_inf, and at most MAX_RAMP_REFINE times).
 
     All points share one (points x nodes) array pass; only H is formed per
     point.  A scalar S gives a float.
@@ -232,7 +233,8 @@ def survival_F(model: FiringRateModel, S):
     z = p_star * x  # ratio first: (1 - e^{-z}) / p_star fails once z underflows
     ratio = np.divide(-np.expm1(-z), z, out=np.ones_like(z), where=z > 0)
     below = np.minimum(sig, s_on) + x * ratio
-    intervals = RAMP_INTERVALS * math.ceil(min(math.sqrt(model.p_inf * theta), MAX_RAMP_REFINE))
+    refine = max(1, math.ceil(min(math.sqrt(model.p_inf * theta), MAX_RAMP_REFINE)))
+    intervals = RAMP_INTERVALS * refine
     windows = np.empty((S_flat.size, intervals + 3))
     np.add(sig[:, None], theta * _ramp_unit(intervals), out=windows[:, :-2])
     windows[:, -2:] = windows[:, -3:-2]  # zero-width, or s_star's nodes on a split ramp
@@ -258,7 +260,8 @@ def survival_F(model: FiringRateModel, S):
     weights *= h
     survival = np.exp(np.negative(hazard, out=hazard), out=hazard)
     ramp = (survival[:, None, :-1] @ weights[:, :, None])[:, 0, 0]
-    F = 1.0 / (below + ramp + survival[:, -1] / model.p_inf)
+    with np.errstate(over="ignore"):  # a subnormal p_inf: the last term is inf and F = 0
+        F = 1.0 / (below + ramp + survival[:, -1] / model.p_inf)
     return float(F[0]) if S_arr.ndim == 0 else F.reshape(S_arr.shape)
 
 

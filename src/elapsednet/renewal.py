@@ -85,7 +85,7 @@ class SolverConfig:
             raise ModelError(f"dt must be positive and finite, got {self.dt}", field="dt")
 
     def validate(self, age: AgeGrid, model: FiringRateModel) -> None:
-        """Stability checks of the step: dt*p_inf <= 1 and dt/eps <= ds.
+        """Stability checks of the step: dt*p_inf <= 1, dt/eps <= ds and ds*p_inf <= 2.
 
         The sharper positivity bound dt/(eps*ds) + dt*r/(2*eps) <= 1 is
         enforced per step against the rates actually present on the grid
@@ -100,6 +100,9 @@ class SolverConfig:
             raise CFLError(
                 f"dt/epsilon = {self.dt / self.epsilon} exceeds ds = {age.ds}", field="dt"
             )
+        if age.ds * model.p_inf > 2.0:
+            raise CFLError(f"ds = {age.ds} too coarse for p_inf = {model.p_inf} "
+                           f"(needs ds*p_inf <= 2)", field="age")
 
 
 @dataclass
@@ -114,7 +117,6 @@ class RunRecord:
     w_dev_series: np.ndarray
     w_snapshots: dict[float, np.ndarray]
     space: SpatialGrid
-    age: AgeGrid
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.times) <= 0):
@@ -141,12 +143,12 @@ class Recorder:
     """Rows every `save_every` (default t_end), at `snapshot_times` and at t_end;
     kernel snapshots at the snapshot times and t_end."""
 
-    def __init__(self, space: SpatialGrid, age: AgeGrid, dt: float, t_end: float,
+    def __init__(self, space: SpatialGrid, dt: float, t_end: float,
                  save_every: float | None = None, snapshot_times: tuple[float, ...] = ()):
         self.n_steps = int(round(t_end / dt))
         if abs(self.n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
             raise GridError(f"t_end = {t_end} is not a multiple of dt = {dt}")
-        self.space, self.age, self.dt = space, age, dt
+        self.space, self.dt = space, dt
         self.stride = max(1, int(round((t_end if save_every is None else save_every) / dt)))
         self.snap_steps = {int(round(ts / dt)) for ts in snapshot_times} | {self.n_steps}
         self.series: tuple[list, ...] = ([], [], [], [], [], [])  # t, N, S, mass, <w>, |w - <w>|
@@ -166,7 +168,7 @@ class Recorder:
             self.w_snaps[t] = w.copy()
 
     def record(self) -> RunRecord:
-        return RunRecord(*map(np.asarray, self.series), self.w_snaps, self.space, self.age)
+        return RunRecord(*map(np.asarray, self.series), self.w_snaps, self.space)
 
 
 class Stepper:
@@ -181,9 +183,6 @@ class Stepper:
 
     def __init__(self, n: DensityField, model: FiringRateModel, cfg: SolverConfig):
         cfg.validate(n.age, model)
-        if n.age.ds * model.p_inf > 2.0:
-            raise CFLError(
-                f"ds = {n.age.ds} too coarse for p_inf = {model.p_inf} (needs ds*p_inf <= 2)")
         self.age, self.model, self.cfg = n.age, model, cfg
         self.lam = cfg.dt / (cfg.epsilon * n.age.ds)
         self.h = cfg.dt / (2.0 * cfg.epsilon)  # the loss weight of each interval end
@@ -347,7 +346,7 @@ def nonlinear_run(
     g = n0.mass()
     I_vals = input_model.evaluate(space)
     rule.warn_if_unnormalized(model.p_inf * float(g.max()))
-    recorder = Recorder(space, age, cfg.dt, t_end, save_every, snapshot_times)
+    recorder = Recorder(space, cfg.dt, t_end, save_every, snapshot_times)
 
     w = w0.values.copy()
     decay = np.exp(-cfg.dt)
@@ -579,6 +578,14 @@ class LargeInputStudy:
     limit_record: RunRecord
 
 
+def check_ks(k_values) -> tuple[float, ...]:
+    """The study's input scales as floats, refused unless 0 < k_1 < k_2 < ..."""
+    ks = tuple(float(k) for k in k_values)
+    if not ks or not all(a < b for a, b in zip((0.0, *ks), ks)):
+        raise ModelError(f"k values must satisfy 0 < k_1 < k_2 < ..., got {ks}", field="k_values")
+    return ks
+
+
 def large_input_run(
     k_values,
     n0: DensityField,
@@ -599,9 +606,7 @@ def large_input_run(
     I_vals = input_model.evaluate(n0.space)
     if np.min(I_vals) <= 0:
         raise ModelError("large-input study requires I(x) > 0 on the grid")
-    ks = tuple(float(k) for k in k_values)
-    if not ks or any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ModelError(f"k values must be positive and increasing, got {ks}")
+    ks = check_ks(k_values)
     if not sample_times:
         sample_times = (t_end,)
 

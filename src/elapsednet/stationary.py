@@ -6,8 +6,9 @@ A steady state is determined by a stimulation profile S(x) satisfying
 
 from which the activity N = g F(S), the kernel w = gamma G(N(x), N(y)) and
 the age profile n(s, x) = N(x) exp(-hazard) follow in closed form.  The
-iteration is damped Picard (damping halved on residual increase); a
-sufficient contraction certificate gamma ||F'|| (2 ||g|| ||F|| + 1) < 1 is
+iteration is damped Picard (damping halved on residual increase) from three
+starts, keeping the distinct converged states; the contraction certificate
+gamma ||F'|| (2 ||g|| ||F|| + 1) < 1, sufficient for a unique state, is
 reported but convergence is attempted regardless.
 """
 
@@ -36,7 +37,6 @@ class StationaryState:
     n_star: DensityField
     residual: float
     contraction_certificate: ContractionCertificate
-    converged: bool
     iterations: int
     residual_history: list[float]
 
@@ -61,10 +61,9 @@ class StationaryProblem:
         G = self.rule.evaluate(N[:, None], N[None, :])
         return self.rule.gamma * (G @ (self.space.weights * N)) + self.input_values
 
-    def certificate(self, w0_max: float = 0.0) -> ContractionCertificate:
-        lo, hi = stimulation_bounds(
-            self.model, self.rule, w0_max, float(self.g.max()), self.input_values
-        )
+    def certificate(self) -> ContractionCertificate:
+        lo, hi = stimulation_bounds(self.model, self.rule, 0.0, float(self.g.max()),
+                                    self.input_values)
         lipF, supF = F_bounds(self.model, lo, hi)
         bound = self.rule.gamma * lipF * (2.0 * float(self.g.max()) * supF + 1.0)
         return ContractionCertificate(holds=bound < 1.0, bound=bound)
@@ -87,49 +86,27 @@ class StationaryProblem:
             n_star=n,
             residual=result.residual,
             contraction_certificate=certificate,
-            converged=result.converged,
             iterations=result.iterations,
             residual_history=result.residual_history,
         )
 
 
-def solve_stationary(
-    problem: StationaryProblem,
-    tol: float = 1e-12,
-    max_iters: int = 10_000,
-    multistart: list[np.ndarray] | None = None,
-):
-    """Damped Picard iteration of the stationary map to residual < tol, from I.
-
-    With `multistart` a list of initial profiles is solved independently and
-    the distinct fixed points (sup-distance > 10 tol apart) are returned as a
-    list.  A non-converged solve returns its best iterate flagged
-    `converged=False`.  The contraction certificate is computed once and
-    shared by every state.
+def solve_stationary(problem: StationaryProblem, tol: float = 1e-12,
+                     max_iters: int = 10_000) -> list[StationaryState]:
+    """Damped Picard iteration of the stationary map to residual < tol from the starts
+    I, I + gamma and 0: the distinct converged states (sup-distance > 10 tol apart) in
+    the order of their starts, none for a start that does not converge.  The
+    contraction certificate is computed once and shared by every state.
     """
     certificate = problem.certificate()
-
-    def solve(start: np.ndarray) -> StationaryState:
-        result = damped_fixed_point(problem.apply_T, np.asarray(start, dtype=float),
-                                    tol=tol, max_iters=max_iters)
-        return problem.reconstruct(result, certificate)
-
-    if multistart is None:
-        return solve(problem.input_values)
-    states: list[StationaryState] = []
-    for start in multistart:
-        state = solve(start)
-        if state.converged and all(
-            np.abs(state.S_star - other.S_star).max() > 10 * tol for other in states
-        ):
-            states.append(state)
-    return states
-
-
-def default_multistart(problem: StationaryProblem) -> list[np.ndarray]:
-    """Initial profiles bracketing the a-priori stimulation range: I, I+gamma, 0."""
     I = problem.input_values
-    return [I.copy(), I + problem.rule.gamma, np.zeros_like(I)]
+    states: list[StationaryState] = []
+    for start in (I, I + problem.rule.gamma, np.zeros_like(I)):
+        result = damped_fixed_point(problem.apply_T, start, tol=tol, max_iters=max_iters)
+        if result.converged and all(np.abs(result.value - other.S_star).max() > 10 * tol
+                                    for other in states):
+            states.append(problem.reconstruct(result, certificate))
+    return states
 
 
 def scalar_stationary(gamma: float, I0: float, tol: float = 1e-12) -> float:

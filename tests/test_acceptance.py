@@ -54,7 +54,7 @@ def g1i1c_stationary(g1i1c_experiment):
     exp = g1i1c_experiment
     problem = StationaryProblem(exp.space, exp.age, exp.g, exp.model, exp.rule,
                                 exp.input_model.evaluate(exp.space))
-    return solve_stationary(problem, tol=1e-12)
+    return solve_stationary(problem, tol=1e-12)[0]
 
 
 def test_criterion_1_mass_conservation(g1i1c_run):
@@ -196,7 +196,7 @@ def test_criterion_9_limit_vs_full(g1i1c_run, g1i1c_experiment):
     record, _ = g1i1c_run
     exp = g1i1c_experiment
     lim = limit_run(exp.w0.copy(), exp.g, exp.model, exp.rule, exp.input_model,
-                    exp.age, dt=0.0125, t_end=25.0, save_every=0.25)
+                    dt=0.0125, t_end=25.0, save_every=0.25)
     gap = float(np.abs(lim.final_S() - record.final_S()).max())
     check(gap <= 1e-3,
           "criterion 9 (limit vs full long-time agreement)",

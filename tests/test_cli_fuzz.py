@@ -18,6 +18,7 @@ from elapsednet.config import (ConfigError, ExperimentConfig, parse_config, seri
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # the keys a refusal may name: the configuration's own, and the --config file
 KEYS = {f.name for f in fields(ExperimentConfig)} | {"config"}
 
@@ -61,8 +62,12 @@ def valid_configs(draw) -> ExperimentConfig:
         density=draw(st.sampled_from(["homogeneous", "gaussian_profile"])),
         kernel=draw(st.sampled_from(["gaussian", "constant", "zero"])),
         kernel_amplitude=draw(finite), kernel_width=draw(finite),
-        epsilon_list=tuple(draw(st.lists(finite, min_size=1, max_size=4))),
-        large_input_k=tuple(draw(st.lists(finite, min_size=1, max_size=4))),
+        # 1 >= e_1 > e_2 > ... > 0 and 0 < k_1 < k_2 < ...
+        epsilon_list=tuple(sorted(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                                                min_size=1, max_size=4, unique=True)),
+                                  reverse=True)),
+        large_input_k=tuple(sorted(draw(st.lists(positive, min_size=1, max_size=4,
+                                                 unique=True)))),
         preset=draw(st.none() | st.text()), out=draw(st.none() | st.text()),
     )
 
@@ -81,40 +86,50 @@ def test_round_trip_on_random_configs(cfg):
 
 @st.composite
 def small_config_texts(draw) -> str:
-    """Small configurations, mostly valid and mostly a whole number of steps long;
-    some break one constraint."""
+    """Small configurations, mostly valid and mostly a whole number of steps long, for
+    each epsilon of the study too; some break one constraint."""
     ns = draw(st.integers(4, 40))
     s_max = draw(st.floats(4.0, 20.0))
     epsilon = draw(st.floats(0.25, 1.0))
     ds = s_max / ns
+    dt = epsilon * ds / 2.0  # the auto step
     rate = draw(st.sampled_from(["step", "smooth"]))
     sigma = draw(st.sampled_from(["identity", "bounded", "constant"]))
+    # epsilon / 2^i: a whole number of steps at epsilon is one at each study epsilon;
+    # an even number of them puts large-input's half-time sample on a step
     lines = {
         "nx": draw(st.integers(1, 5)), "ns": ns, "s_max": s_max, "epsilon": epsilon,
-        "t_end": draw(st.integers(1, 32).map(lambda k: k * (epsilon * ds / 2.0))
-                      | st.floats(0.01, 0.25)),
+        "t_end": draw(st.integers(1, 16).map(lambda k: 2 * k * dt)
+                      | st.integers(1, 32).map(lambda k: k * dt) | st.floats(0.01, 0.25)),
         "save_every": 0.0625,
         "picard": draw(st.sampled_from(["lagged", "iterate"])),
-        "p_inf": draw(st.floats(0.0, min(4.0, 2.5 / ds))),
-        "rate": rate, "sigma": sigma, "gamma": draw(st.floats(-0.25, 3.0)),
+        "p_inf": draw(st.floats(0.0, min(4.0, 2.0 / ds), exclude_min=True)),
+        "rate": rate, "sigma": sigma, "gamma": draw(st.floats(0.0, 3.0)),
         "rule": draw(st.sampled_from(["hebbian", "gaussian_sigmoid"])),
         "input": draw(st.sampled_from(["constant", "sin_squared"])),
-        "input_amplitude": draw(st.floats(-0.25, 3.0)),
+        "input_amplitude": draw(st.floats(0.0, 3.0)),
         "density": draw(st.sampled_from(["homogeneous", "gaussian_profile"])),
         "kernel": draw(st.sampled_from(["gaussian", "constant", "zero"])),
         "kernel_amplitude": draw(st.floats(0.0, 3.0)),
+        "epsilon_list": ", ".join(str(epsilon / 2**i) for i in range(draw(st.integers(1, 3)))),
+        "large_input_k": ", ".join(map(str, sorted(draw(
+            st.lists(st.floats(0.5, 100.0), min_size=1, max_size=3, unique=True))))),
     }
     if rate == "smooth":
         lines.update(theta=draw(st.floats(0.1, 2.0)), p_star=draw(st.floats(0.0, 0.5)),
                      s_star=draw(st.floats(1.0, 20.0)))
     if sigma != "identity":
         lines["sigma_max"] = draw(st.floats(0.0, 5.0))
-    # at most one of these values breaks a model object's rule
-    broken = {"picard_tol": (0.0, -1e-3), "picard_damping": (0.0, 1.5),
-              "picard_max_iters": (0, -3), "p_star": (-0.25, 5.0), "sigma_max": (-0.5,)}
-    key = draw(st.none() | st.sampled_from(sorted(broken)))
-    if key is not None:
-        lines[key] = draw(st.sampled_from(broken[key]))
+    # at most one of these breaks a rule; the last grid is too coarse for its rate while
+    # both dt rules hold
+    broken = [{"picard_tol": 0.0}, {"picard_tol": -1e-3}, {"picard_damping": 0.0},
+              {"picard_damping": 1.5}, {"picard_max_iters": 0}, {"picard_max_iters": -3},
+              {"p_star": -0.25}, {"p_star": 5.0}, {"sigma_max": -0.5}, {"p_inf": 0.0},
+              {"gamma": -0.25}, {"input_amplitude": -0.25},
+              {"epsilon_list": "2, 1"}, {"epsilon_list": "0.1, 0.2"},
+              {"large_input_k": "-1, 10"}, {"large_input_k": "10, 1"},
+              {"p_inf": 2.25 / ds, "dt": ds / 4.0}]
+    lines.update(draw(st.just({}) | st.sampled_from(broken)))
     return "".join(f"{key} = {value}\n" for key, value in lines.items())
 
 

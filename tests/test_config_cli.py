@@ -151,6 +151,12 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# each command's own CSV; a command without one (doeblin) is checked by its MANIFEST alone
+COMMAND_CSVS = {"run": "N.csv", "limit": "N.csv", "stationary": "stationary.csv",
+                "epsilon-study": "epsilon_distances.csv",
+                "large-input": "large_input_distances.csv"}
+
+
 class TestCLI:
     def test_presets_lists_twelve(self, capsys):
         assert run_cli("presets") == 0
@@ -285,10 +291,18 @@ class TestCLI:
         # finite keys whose product, the input, is not finite
         ((), "nx = 1\ninput = table\ninput_table = 1e300\ninput_scale = 1e10\n", "input_scale"),
         ((), "input_amplitude = 1e300\ninput_scale = 1e10\n", "input_scale"),
+        # the study lists, refused for every command
+        ((), "epsilon_list = 2, 1\nt_end = 0.25\nnx = 4\n", "epsilon_list"),
+        ((), "epsilon_list = 0.1, 0.2\nt_end = 0.25\nnx = 4\n", "epsilon_list"),
+        ((), "large_input_k = -1, 10\nt_end = 0.25\nnx = 4\n", "large_input_k"),
+        ((), "large_input_k = 10, 1\nt_end = 0.25\nnx = 4\n", "large_input_k"),
+        # ds * p_inf = 3 > 2 while both dt rules hold
+        ((), "ns = 10\ns_max = 20\np_inf = 1.5\ndt = 0.5\nt_end = 1\nnx = 2\n", "ns"),
     ], ids=["tol0", "tol-1", "amplitude", "p_star", "sigma_max", "p_inf", "dt", "table",
             "preset", "damping-1", "damping0", "damping1.5", "max_iters0", "max_iters-3",
             "missing-config", "config-directory", "p_inf0", "table-overflow",
-            "amplitude-overflow"])
+            "amplitude-overflow", "eps-above-1", "eps-increasing", "k-negative",
+            "k-decreasing", "coarse-ds"])
     def test_model_rejections_are_config_errors(self, flags, text, key, tmp_path, capsys):
         if text is not None:
             cfg_path = tmp_path / "exp.cfg"
@@ -367,11 +381,10 @@ class TestCLI:
 
     @pytest.mark.filterwarnings("ignore:absorbing-node mass")
     @pytest.mark.filterwarnings("ignore:initial density carries")
-    @pytest.mark.parametrize("command, csv", [
-        ("epsilon-study", "epsilon_distances.csv"),
-        ("large-input", "large_input_distances.csv"),
-    ])
+    @pytest.mark.parametrize("command, csv", [(name, COMMAND_CSVS.get(name))
+                                              for name in cli.COMMANDS])
     def test_study_subcommands(self, command, csv, tmp_path):
+        """Every command completes on one tiny config and lists each file it wrote."""
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("nx = 8\nns = 200\ns_max = 10\nkernel_amplitude = 2\n"
                             "t_end = 0.25\nepsilon_list = 0.4, 0.2\nlarge_input_k = 1, 10\n")
@@ -379,7 +392,9 @@ class TestCLI:
         assert run_cli(command, "--config", str(cfg_path), "--out", str(out)) == 0
         manifest = (out / "MANIFEST").read_text()
         assert "status = complete" in manifest
-        assert f"file = {csv}" in manifest and "file = summary.txt" in manifest
+        listed = re.findall(r"^file = (.+)$", manifest, flags=re.M)
+        assert sorted(listed) == sorted(p.name for p in out.iterdir() if p.name != "MANIFEST")
+        assert "summary.txt" in listed and (csv is None or csv in listed)
         assert (out / "summary.txt").read_text().startswith(f"[{command}]\n")
 
     @pytest.mark.filterwarnings("ignore:initial density carries")

@@ -5,7 +5,7 @@ import pytest
 
 from elapsednet.config import build_experiment, with_overrides
 from elapsednet.diagnostics import regime_certificates
-from elapsednet.grids import AgeGrid, ConnectivityKernel, DensityField, SpatialGrid
+from elapsednet.grids import ConnectivityKernel, SpatialGrid
 from elapsednet.limit import epsilon_study, inner_fixed_point, limit_run
 from elapsednet.models import FiringRateModel, InputModel, LearningRule, SigmaMap, survival_F
 from elapsednet.presets import get_preset
@@ -49,11 +49,10 @@ class TestInnerFixedPoint:
 class TestLimitRun:
     def test_gamma_zero_kernel_decays_exactly(self):
         space = SpatialGrid(nx=8)
-        age = AgeGrid(ns=100, s_max=10.0)
         w0 = ConnectivityKernel.from_function(space,
                                               lambda x, y: 10 * np.exp(-10 * (x - y) ** 2))
         rec = limit_run(w0, np.ones(8), step_model(), LearningRule("hebbian", 0.0),
-                        InputModel("constant", amplitude=1.0), age,
+                        InputModel("constant", amplitude=1.0),
                         dt=0.05, t_end=10.0, save_every=1.0)
         w_final = rec.w_snapshot_at(10.0)
         assert w_final.max() <= math.exp(-10.0) * 10.0 + 1e-12
@@ -63,14 +62,14 @@ class TestLimitRun:
     def test_kernel_bound(self):
         exp = build_experiment(get_preset("Lg1i1c").config)
         rec = limit_run(exp.w0, exp.g, exp.model, exp.rule, exp.input_model,
-                        exp.age, dt=0.05, t_end=5.0, save_every=0.5)
+                        dt=0.05, t_end=5.0, save_every=0.5)
         bound = max(float(exp.w0.values.max()), exp.rule.gamma)
         assert max(w.max() for w in rec.w_snapshots.values()) <= bound + 1e-9
 
     def test_algebraic_identities_along_the_run(self):
         exp = build_experiment(get_preset("Lg1i1c").config)
         rec = limit_run(exp.w0, exp.g, exp.model, exp.rule, exp.input_model,
-                        exp.age, dt=0.1, t_end=2.0, save_every=0.5,
+                        dt=0.1, t_end=2.0, save_every=0.5,
                         snapshot_times=(0.5, 1.0, 2.0), inner_tol=1e-12)
         for i, t in enumerate(rec.times):
             if t == 0.0:
@@ -86,13 +85,13 @@ class TestLimitRun:
     def test_homogenizes_and_matches_stationary(self):
         exp = build_experiment(get_preset("Lg1i1c").config)
         rec = limit_run(exp.w0, exp.g, exp.model, exp.rule, exp.input_model,
-                        exp.age, dt=0.05, t_end=25.0, save_every=0.25)
+                        dt=0.05, t_end=25.0, save_every=0.25)
         devs = rec.w_dev_series
         assert devs[-1] < 1e-3
         assert devs[-1] < devs[0]
         prob = StationaryProblem(exp.space, exp.age, exp.g, exp.model, exp.rule,
                                  exp.input_model.evaluate(exp.space))
-        state = solve_stationary(prob, tol=1e-12)
+        state = solve_stationary(prob, tol=1e-12)[0]
         assert np.abs(rec.final_S() - state.S_star).max() < 1e-3
 
     @staticmethod

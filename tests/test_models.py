@@ -207,6 +207,11 @@ class TestSurvivalF:
         assert np.max(np.abs(np.diff(F)) / h) <= lip * (1 + 2 * eps) + 6 * eps * F.max() / h.min()
         assert sup == F.max()
 
+    def test_subnormal_rate_gives_a_vanishing_F(self):
+        # p_inf theta underflows to 0 and 1/p_inf overflows: F is 0 to double precision
+        m = FiringRateModel(**{**SMOOTH, "p_inf": 5e-324, "p_star": 0.0})
+        np.testing.assert_array_equal(survival_F(m, np.array([0.0, 1.0, 5.0])), 0.0)
+
     def test_vanishing_rate_rejected(self):
         # F is undefined for p_inf = 0, and the rate model itself refuses it
         with pytest.raises(ModelError, match="p_inf"):

@@ -336,19 +336,19 @@ class TestSmoothRate:
 
 class TestRunRecord:
     def test_times_strictly_increasing(self):
-        space, age = SpatialGrid(nx=2), AgeGrid(ns=4, s_max=1.0)
+        space = SpatialGrid(nx=2)
         with pytest.raises(ValueError):
             RunRecord(times=np.array([0.0, 0.0]), N_series=np.zeros((2, 2)),
                       S_series=np.zeros((2, 2)), mass_series=np.zeros((2, 2)),
                       w_mean_series=np.zeros(2), w_dev_series=np.zeros(2),
-                      w_snapshots={}, space=space, age=age)
+                      w_snapshots={}, space=space)
 
     def test_snapshot_lookup_tolerates_rounding(self):
-        space, age = SpatialGrid(nx=2), AgeGrid(ns=4, s_max=1.0)
+        space = SpatialGrid(nx=2)
         rec = RunRecord(times=np.array([0.0, 1.0]), N_series=np.zeros((2, 2)),
                         S_series=np.zeros((2, 2)), mass_series=np.zeros((2, 2)),
                         w_mean_series=np.zeros(2), w_dev_series=np.zeros(2),
-                        w_snapshots={0.5000000000000001: np.eye(2)}, space=space, age=age)
+                        w_snapshots={0.5000000000000001: np.eye(2)}, space=space)
         np.testing.assert_array_equal(rec.w_snapshot_at(0.5), np.eye(2))
         with pytest.raises(KeyError):
             rec.w_snapshot_at(0.75)
