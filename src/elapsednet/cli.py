@@ -148,7 +148,7 @@ def _stationary(exp: Experiment, args, sink: OutputSink):
         f"residual = {fmt(state.residual)}",
         f"iterations = {state.iterations}",
         f"distinct fixed points found = {len(states)}",
-        f"contraction certificate: bound = {fmt(cert.bound)} -> "
+        f"contraction certificate: bound = {fmt(cert.lhs)} -> "
         + ("holds" if cert.holds else "outside proved regime"),
     ]
     return (summary + _certificate_lines(exp),
@@ -174,7 +174,8 @@ def _epsilon_study(exp: Experiment, args, sink: OutputSink):
                           exp.input_model, T=cfg.t_end, picard=exp.solver.picard)
     sink.write_csv("epsilon_distances.csv", ["epsilon", "dist_n_L1_tsx", "dist_N_L1_tx"],
                    np.column_stack((study.epsilons, study.dist_n, study.dist_N)))
-    return [f"T = {fmt(study.T)}", f"fitted order in epsilon = {fmt(study.fitted_order)}"], None
+    order = fmt(study.fitted_order) if np.isfinite(study.fitted_order) else "not fitted"
+    return [f"T = {fmt(study.T)}", f"fitted order in epsilon = {order}"], None
 
 
 def _large_input_config(cfg: ExperimentConfig) -> ExperimentConfig:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .grids import AgeGrid, ConnectivityKernel, DensityField, FieldError, SpatialGrid
+from .grids import (AgeGrid, ConnectivityKernel, DensityField, FieldError, SpatialGrid,
+                    whole_steps)
 from .models import (FiringRateModel, InputModel, LearningRule, SigmaMap,
                      check_reachable_threshold)
 from .limit import check_epsilons, epsilon_study
@@ -102,6 +103,7 @@ _KEYS = {
                     "damping": "picard_damping"},
     SolverConfig: {"dt": "dt", "epsilon": "epsilon"},
     SolverConfig.validate: {"dt": "dt", "age": "ns"},
+    whole_steps: {"t_end": "t_end"},
     epsilon_study: {"eps_list": "epsilon_list"},
     large_input_run: {"k_values": "large_input_k"},
 }
@@ -219,6 +221,7 @@ def validate_config(cfg: ExperimentConfig):
     rule, input_model = _make(LearningRule, cfg), _make(InputModel, cfg)
     solver = _make(SolverConfig, cfg, dt=cfg.resolved_dt(), picard=_make(PicardOptions, cfg))
     _keyed(SolverConfig.validate, solver.validate, age, model)
+    _keyed(whole_steps, whole_steps, cfg.t_end, solver.dt)
     _keyed(epsilon_study, check_epsilons, cfg.epsilon_list)
     _keyed(large_input_run, check_ks, cfg.large_input_k)
     return space, age, model, rule, input_model, solver

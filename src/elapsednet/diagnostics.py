@@ -154,6 +154,15 @@ class Certificate:
     description: str
 
 
+def stationary_contraction(rule: LearningRule, lipF: float, supF: float,
+                           g_max: float) -> Certificate:
+    """gamma ||F'|| (2 ||g|| ||F|| + 1) < 1, sufficient for a unique stationary state, from
+    bounds lipF >= |F'| and supF >= F on a band holding every stationary S, g_max = ||g||."""
+    lhs = rule.gamma * lipF * (2.0 * g_max * supF + 1.0)
+    return Certificate("stationary_contraction", lhs, lhs < 1.0,
+                       "gamma ||F'|| (2 ||g|| ||F|| + 1) < 1")
+
+
 def regime_certificates(
     model: FiringRateModel,
     rule: LearningRule,
@@ -185,11 +194,7 @@ def regime_certificates(
             "wellposed_smooth", lhs, lhs < 1.0,
             "||g|| |Omega| ||dp/dS|| max(||w0||, gamma) < 1",
         ))
-    lhs_stat = rule.gamma * lipF * (2.0 * g_max * supF + 1.0)
-    certs.append(Certificate(
-        "stationary_contraction", lhs_stat, lhs_stat < 1.0,
-        "gamma ||F'|| (2 ||g|| ||F|| + 1) < 1",
-    ))
+    certs.append(stationary_contraction(rule, lipF, supF, g_max))
     lhs_lim = A * lipF
     certs.append(Certificate(
         "limit_uniqueness", lhs_lim, lhs_lim < 1.0,

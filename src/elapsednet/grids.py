@@ -28,6 +28,15 @@ class GridError(FieldError, ValueError):
     """Inconsistent grid parameters or mismatched field shapes."""
 
 
+def whole_steps(t: float, dt: float, field: str = "t_end") -> int:
+    """The number of steps of size dt that make up t, refused with a GridError naming
+    `field` unless t is a whole multiple of dt to a relative 1e-9."""
+    steps = int(round(t / dt))
+    if abs(steps * dt - t) > 1e-9 * max(1.0, t):
+        raise GridError(f"{field} = {t} is not a multiple of dt = {dt}", field=field)
+    return steps
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform cell-midpoint grid on (x_min, x_max)."""

@@ -21,7 +21,8 @@ import numpy as np
 
 from .fixedpoint import PicardError, damped_fixed_point
 from .grids import ConnectivityKernel, DensityField
-from .models import FiringRateModel, InputModel, LearningRule, ModelError, survival_F
+from .models import (FiringRateModel, InputModel, LearningRule, ModelError, slaved_profile,
+                     survival_F)
 from .renewal import PicardOptions, Recorder, RunRecord, SolverConfig, nonlinear_run
 
 INNER_MAX_ITERS = 500
@@ -42,7 +43,7 @@ def inner_fixed_point(
     gv = np.asarray(g, dtype=float)
 
     def apply_map(S: np.ndarray) -> np.ndarray:
-        return wq @ (gv * np.asarray(survival_F(model, S))) + I_t
+        return wq @ (gv * survival_F(model, S)) + I_t
 
     start = I_t if S_guess is None else np.asarray(S_guess, dtype=float)
     result = damped_fixed_point(apply_map, start, tol, INNER_MAX_ITERS, damping)
@@ -82,13 +83,13 @@ def limit_run(
 
     w = w0.copy()
     S = inner_fixed_point(w, g, model, I_vals, S_guess=None, tol=inner_tol, damping=0.5)
-    N = g * np.asarray(survival_F(model, S))
+    N = g * survival_F(model, S)
     recorder.save(0, N, S, g, w.values)
     for step in range(1, recorder.n_steps + 1):
         target = rule.gamma * rule.evaluate(N[:, None], N[None, :])
         w.values = decay * w.values + (1.0 - decay) * target
         S = inner_fixed_point(w, g, model, I_vals, S_guess=S, tol=inner_tol, damping=1.0)
-        N = g * np.asarray(survival_F(model, S))
+        N = g * survival_F(model, S)
         if recorder.due(step):
             recorder.save(step, N, S, g, w.values)
     return recorder.record()
@@ -100,8 +101,7 @@ class EpsilonStudy:
     T: float
     dist_n: np.ndarray  # L1 over (t, s, x)
     dist_N: np.ndarray  # L1 over (t, x)
-    fitted_order: float
-    limit_record: RunRecord
+    fitted_order: float  # NaN for a single epsilon
     records: dict[float, RunRecord]
 
 
@@ -128,79 +128,45 @@ def epsilon_study(
     All epsilon runs share the same grids so scheme error cancels in the
     ratios; each run uses dt = eps * ds / 2 (the exact-mass step) and the
     limit reference is integrated with the smallest of those steps.  The
-    time integrals are accumulated on the fly every other solver step, which
-    resolves the width-O(eps) initial layer at every epsilon without storing
-    density snapshots.  The reported order is the log-log slope of the
-    density distance against epsilon.
+    time integrals are trapezoid sums over samples, every other solver step
+    and the last, of |N - N_bar| and of |n - n_bar| with n_bar the
+    `slaved_profile` of the limit's S; so they resolve the width-O(eps)
+    initial layer without storing density snapshots.  The reported order is
+    the log-log slope of the density distance against epsilon, NaN for one.
     """
     eps = check_epsilons(eps_list)
     age, space = n0.age, n0.space
     g = n0.mass()
 
     dt_limit = min(eps) * age.ds / 2.0
-    limit_rec = limit_run(
-        w0.copy(), g, model, rule, input_model, dt_limit, T,
-        save_every=dt_limit, snapshot_times=(),
-    )
+    limit_rec = limit_run(w0.copy(), g, model, rule, input_model, dt_limit, T,
+                          save_every=dt_limit)
 
-    dist_n = np.zeros(len(eps))
-    dist_N = np.zeros(len(eps))
+    dist_n, dist_N = np.zeros(len(eps)), np.zeros(len(eps))
     records: dict[float, RunRecord] = {}
 
     for i, e in enumerate(eps):
-        opts = picard if picard is not None else PicardOptions()
-        cfg = SolverConfig(dt=e * age.ds / 2.0, epsilon=e, picard=opts)
-        acc = _DistanceAccumulator(limit_rec, model, age, space, g, cfg.dt, T)
-        rec = nonlinear_run(
-            n0.copy(), w0.copy(), model, rule, input_model, cfg, T,
-            save_every=T, observer=acc,
-        )
-        records[e] = rec
-        dist_n[i], dist_N[i] = acc.totals()
+        cfg = SolverConfig(dt=e * age.ds / 2.0, epsilon=e, picard=picard or PicardOptions())
+        last = int(round(T / cfg.dt))
+        samples: list[tuple[float, float, float]] = []  # (t, |n - n_bar|, |N - N_bar|)
 
-    if len(eps) >= 2:
-        slope = float(np.polyfit(np.log(eps), np.log(np.maximum(dist_n, 1e-300)), 1)[0])
-    else:
-        slope = float("nan")
-    return EpsilonStudy(eps, T, dist_n, dist_N, slope, limit_rec, records)
+        def distances(step, values, N, S):
+            if step % 2 and step != last:
+                return
+            t = step * cfg.dt
+            row = min(int(round(t / dt_limit)), len(limit_rec.times) - 1)
+            n_bar = slaved_profile(model, age, limit_rec.S_series[row], g)
+            samples.append((t, float(space.weights @ (age.weights @ np.abs(values - n_bar))),
+                            float(space.weights @ np.abs(N - limit_rec.N_series[row]))))
 
+        records[e] = nonlinear_run(n0.copy(), w0.copy(), model, rule, input_model, cfg, T,
+                                   save_every=T, observer=distances)
+        # contiguous rows: a dot product over strided columns differs in the last digits
+        t, d_n, d_N = np.array(samples).T.copy()
+        half = 0.5 * np.diff(t)
+        weights = np.r_[half, 0.0] + np.r_[0.0, half]  # the trapezoid rule over the samples
+        dist_n[i], dist_N[i] = weights @ d_n, weights @ d_N
 
-class _DistanceAccumulator:
-    """Trapezoid-in-time accumulation of |N - N_bar| and |n - n_bar| integrals,
-    sampled at every other step of a run of step dt to t_end and at its last."""
-
-    def __init__(self, limit_rec: RunRecord, model, age, space, g, dt: float, t_end: float):
-        self.limit_rec = limit_rec
-        self.model = model
-        self.age = age
-        self.g = g
-        self.xw = space.weights
-        self.aw = age.weights
-        self.dt = dt
-        self.last = int(round(t_end / dt))
-        self.samples_t: list[float] = []
-        self.samples_N: list[float] = []
-        self.samples_n: list[float] = []
-
-    def __call__(self, step: int, values: np.ndarray, N: np.ndarray, S: np.ndarray) -> None:
-        if step % 2 and step != self.last:
-            return
-        t = step * self.dt
-        steps = int(round(t / (self.limit_rec.times[1] - self.limit_rec.times[0])))
-        steps = min(steps, len(self.limit_rec.times) - 1)
-        N_bar = self.limit_rec.N_series[steps]
-        S_bar = self.limit_rec.S_series[steps]
-        hz = self.model.cumulative_hazard(self.age.nodes, S_bar)
-        prof = np.exp(-hz)
-        prof *= self.g / (self.aw @ prof)  # slaved profile with discrete mass g
-        self.samples_t.append(t)
-        self.samples_N.append(float(self.xw @ np.abs(N - N_bar)))
-        self.samples_n.append(float(self.xw @ (self.aw @ np.abs(values - prof))))
-
-    def totals(self) -> tuple[float, float]:
-        t = np.asarray(self.samples_t)
-        w = np.zeros(len(t))
-        dt = np.diff(t)
-        w[:-1] += 0.5 * dt
-        w[1:] += 0.5 * dt
-        return float(w @ self.samples_n), float(w @ self.samples_N)
+    slope = (float(np.polyfit(np.log(eps), np.log(np.maximum(dist_n, 1e-300)), 1)[0])
+             if len(eps) >= 2 else float("nan"))
+    return EpsilonStudy(eps, T, dist_n, dist_N, slope, records)

@@ -188,6 +188,13 @@ class FiringRateModel:
         return replace(self, sigma=SigmaMap("constant", sigma_max=self.sigma.limit_value()))
 
 
+def slaved_profile(model: FiringRateModel, age: AgeGrid, S, g) -> np.ndarray:
+    """e^{-H(s, S)} per column, scaled to trapezoid mass g (age.weights @ profile == g): the
+    stationary density and the density slaved to S in the slow-learning limit."""
+    profile = np.exp(-model.cumulative_hazard(age.nodes, S))
+    return profile * (g / (age.weights @ profile))
+
+
 RAMP_INTERVALS = 128  # quadrature intervals across a ramp of hazard rise p_inf * theta <= 1
 MAX_RAMP_REFINE = 64  # caps the cost of one point on very steep ramps
 

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fixedpoint import PicardError, damped_fixed_point
-from .grids import AgeGrid, ConnectivityKernel, DensityField, FieldError, GridError, SpatialGrid
+from .grids import (AgeGrid, ConnectivityKernel, DensityField, FieldError, GridError,
+                    SpatialGrid, whole_steps)
 from .models import FiringRateModel, InputModel, LearningRule, ModelError
 
 
@@ -145,9 +146,7 @@ class Recorder:
 
     def __init__(self, space: SpatialGrid, dt: float, t_end: float,
                  save_every: float | None = None, snapshot_times: tuple[float, ...] = ()):
-        self.n_steps = int(round(t_end / dt))
-        if abs(self.n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-            raise GridError(f"t_end = {t_end} is not a multiple of dt = {dt}")
+        self.n_steps = whole_steps(t_end, dt)
         self.space, self.dt = space, dt
         self.stride = max(1, int(round((t_end if save_every is None else save_every) / dt)))
         self.snap_steps = {int(round(ts / dt)) for ts in snapshot_times} | {self.n_steps}
@@ -610,9 +609,7 @@ def large_input_run(
     if not sample_times:
         sample_times = (t_end,)
 
-    sample_steps = [int(round(ts / cfg.dt)) for ts in sample_times]
-    if any(abs(k * cfg.dt - ts) > 1e-9 * max(1.0, ts) for k, ts in zip(sample_steps, sample_times)):
-        raise ModelError(f"sample times {sample_times} are not all multiples of dt = {cfg.dt}")
+    sample_steps = [whole_steps(ts, cfg.dt, field="sample_times") for ts in sample_times]
 
     def run(*args) -> tuple[RunRecord, dict[int, np.ndarray]]:
         densities: dict[int, np.ndarray] = {}
@@ -621,8 +618,7 @@ def large_input_run(
             if step in sample_steps:
                 densities[step] = values.copy()
 
-        rec = nonlinear_run(*args, cfg, t_end, save_every=t_end, snapshot_times=sample_times,
-                            observer=keep_samples)
+        rec = nonlinear_run(*args, cfg, t_end, save_every=t_end, observer=keep_samples)
         return rec, densities
 
     limit_rate = model.limit_model()

@@ -18,15 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import Certificate, stationary_contraction
 from .fixedpoint import PicardResult, damped_fixed_point
 from .grids import AgeGrid, ConnectivityKernel, DensityField, SpatialGrid
-from .models import F_bounds, FiringRateModel, LearningRule, stimulation_bounds, survival_F
-
-
-@dataclass
-class ContractionCertificate:
-    holds: bool
-    bound: float
+from .models import (F_bounds, FiringRateModel, LearningRule, slaved_profile,
+                     stimulation_bounds, survival_F)
 
 
 @dataclass
@@ -36,7 +32,7 @@ class StationaryState:
     w_star: ConnectivityKernel
     n_star: DensityField
     residual: float
-    contraction_certificate: ContractionCertificate
+    contraction_certificate: Certificate
     iterations: int
     residual_history: list[float]
 
@@ -53,7 +49,7 @@ class StationaryProblem:
     input_values: np.ndarray
 
     def activity(self, S: np.ndarray) -> np.ndarray:
-        return self.g * np.asarray(survival_F(self.model, S))
+        return self.g * survival_F(self.model, S)
 
     def apply_T(self, S: np.ndarray) -> np.ndarray:
         """One evaluation of the stationary stimulation map."""
@@ -61,29 +57,22 @@ class StationaryProblem:
         G = self.rule.evaluate(N[:, None], N[None, :])
         return self.rule.gamma * (G @ (self.space.weights * N)) + self.input_values
 
-    def certificate(self) -> ContractionCertificate:
-        lo, hi = stimulation_bounds(self.model, self.rule, 0.0, float(self.g.max()),
-                                    self.input_values)
-        lipF, supF = F_bounds(self.model, lo, hi)
-        bound = self.rule.gamma * lipF * (2.0 * float(self.g.max()) * supF + 1.0)
-        return ContractionCertificate(holds=bound < 1.0, bound=bound)
+    def certificate(self) -> Certificate:
+        g_max = float(self.g.max())
+        lo, hi = stimulation_bounds(self.model, self.rule, 0.0, g_max, self.input_values)
+        return stationary_contraction(self.rule, *F_bounds(self.model, lo, hi), g_max)
 
-    def reconstruct(self, result: PicardResult,
-                    certificate: ContractionCertificate) -> StationaryState:
-        """Assemble the full steady profile from the fixed-point iteration's result."""
+    def reconstruct(self, result: PicardResult, certificate: Certificate) -> StationaryState:
+        """The steady state at the iteration's S: N = g F(S), w = gamma G(N(x), N(y)) and
+        the density `slaved_profile`, whose trapezoid mass is g in every column."""
         S = result.value
         N = self.activity(S)
-        w = self.rule.kernel_target(N, self.space)
-        hazard = self.model.cumulative_hazard(self.age.nodes, S)
-        profile = np.exp(-hazard)
-        # per-column normalization: the discrete age-integral must equal g exactly
-        n = DensityField(profile * N[None, :], self.age, self.space)
-        n.normalize_mass(self.g)
         return StationaryState(
             S_star=np.asarray(S, dtype=float),
             N_star=N,
-            w_star=w,
-            n_star=n,
+            w_star=self.rule.kernel_target(N, self.space),
+            n_star=DensityField(slaved_profile(self.model, self.age, S, self.g), self.age,
+                                self.space),
             residual=result.residual,
             contraction_certificate=certificate,
             iterations=result.iterations,

@@ -21,12 +21,15 @@ nonnegative = st.floats(min_value=0.0, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # the keys a refusal may name: the configuration's own, and the --config file
 KEYS = {f.name for f in fields(ExperimentConfig)} | {"config"}
+# a nan or inf written as a number: a whole token, so that p_inf or ||_inf do not count
+NON_FINITE = re.compile(r"(?<![\w.])[-+]?(?:nan|inf)(?![\w.])", re.IGNORECASE)
 
 
 @st.composite
 def valid_configs(draw) -> ExperimentConfig:
     """Any configuration that validate_config accepts, except for its names, which are
-    any text; the values no rule bounds are drawn from all finite floats."""
+    any text; t_end is a whole number of steps, and the values no rule bounds are drawn
+    from all finite floats."""
     ns = draw(st.integers(2, 40))
     epsilon = draw(st.floats(0.1, 1.0))
     p_inf = draw(st.floats(0.05, 4.0))
@@ -37,13 +40,13 @@ def valid_configs(draw) -> ExperimentConfig:
     inputs = draw(st.sampled_from(["constant", "sin_squared", "table"]))
     nx = draw(st.integers(1, 5))
     p_stars = st.floats(0.0, 1.0).map(lambda f: f * p_inf)
-    t_end = draw(st.floats(0.01, 0.5))
+    dt = draw(st.none() | st.floats(0.05, 1.0).map(lambda f: f * dt_max))
+    t_end = draw(st.integers(1, 64)) * (epsilon * (s_max / ns) / 2.0 if dt is None else dt)
     k = draw(finite)  # the input is k times the table or the amplitude, and must be finite
     scaled = lambda values: values.filter(lambda v: math.isfinite(k * v))
     return ExperimentConfig(
         nx=nx, ns=ns, s_max=s_max, epsilon=epsilon, p_inf=p_inf,
-        dt=draw(st.none() | st.floats(0.05, 1.0).map(lambda f: f * dt_max)),
-        t_end=t_end, save_every=draw(st.floats(0.01, 1.0)) * t_end,
+        dt=dt, t_end=t_end, save_every=draw(st.floats(0.01, 1.0)) * t_end,
         picard=draw(st.sampled_from(["lagged", "iterate"])),
         picard_tol=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
         picard_max_iters=draw(st.integers(1, 500)),
@@ -156,3 +159,7 @@ def test_main_ends_in_a_manifest_or_a_key_error(command, text):
                 manifest = fh.read()
             status = {0: "complete", 1: "incomplete"}[code]
             assert f"status = {status}\n" in manifest
+            if code == 0:  # a complete run writes no non-finite number
+                for name in re.findall(r"^file = (.+)$", manifest, flags=re.M):
+                    with open(os.path.join(out, name), encoding="utf-8") as fh:
+                        assert not NON_FINITE.search(fh.read()), name

@@ -243,13 +243,31 @@ class TestCLI:
         assert run_cli("run", "--preset", "nope") == 2
 
     def test_incomplete_manifest_on_failure(self, tmp_path):
-        # a t_end that is not a dt multiple fails after the sink exists
+        # one Picard iteration cannot reach the tolerance: the initial coupling solve
+        # fails after the sink exists
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text("t_end = 0.5124\n")
+        cfg_path.write_text("t_end = 0.5\npicard_max_iters = 1\npicard_tol = 1e-300\n")
         out = tmp_path / "out"
         code = run_cli("run", "--config", str(cfg_path), "--out", str(out))
         assert code == 1
         assert "status = incomplete" in (out / "MANIFEST").read_text()
+
+    @pytest.mark.parametrize("command", ["run", "limit"])
+    def test_off_grid_t_end_is_refused(self, command, tmp_path, capsys):
+        # dt = 0.0125 on g1i1c; the refusal names t_end before any output exists
+        out = tmp_path / "out"
+        code = run_cli(command, "--preset", "g1i1c", "--t-end", "0.3333", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and "key 't_end'" in err and "not a multiple of dt" in err
+        assert not out.exists()
+
+    def test_single_epsilon_order_is_not_fitted(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("nx = 4\nns = 200\ns_max = 20\nkernel_amplitude = 2\n"
+                            "t_end = 0.25\nepsilon_list = 0.25\n")
+        out = tmp_path / "out"
+        assert run_cli("epsilon-study", "--config", str(cfg_path), "--out", str(out)) == 0
+        assert "fitted order in epsilon = not fitted\n" in (out / "summary.txt").read_text()
 
     def test_nan_run_is_incomplete(self, tmp_path, monkeypatch):
         # a NaN in a config file is refused by the parser and a NaN gain by
@@ -405,7 +423,7 @@ class TestCLI:
         out = tmp_path / "out"
         assert run_cli("large-input", "--config", str(cfg_path), "--out", str(out)) == 1
         manifest = (out / "MANIFEST").read_text()
-        assert "status = incomplete" in manifest and "multiples of dt" in manifest
+        assert "status = incomplete" in manifest and "not a multiple of dt" in manifest
 
     def test_epsilon_study_takes_the_picard_flags(self, monkeypatch, tmp_path):
         seen = {}

@@ -13,6 +13,7 @@ from elapsednet.models import (
     F_bounds,
     ModelError,
     SigmaMap,
+    slaved_profile,
     stimulation_bounds,
     survival_F,
 )
@@ -147,6 +148,38 @@ class TestFiringRate:
         lim = m.limit_model()
         assert lim.evaluate(2.5, 1e9) == 1.0
         assert lim.evaluate(1.5, 1e9) == 0.0
+
+
+# a sum of ns positive terms is exact to ns * eps relative (recursive summation); the
+# mass errors measured 1-3.5 eps in the median and 18, 20, 31 and 66 eps at most over
+# 1,500 random profiles each at ns = 100, 200, 400 and 800
+ROUNDOFF = np.finfo(float).eps
+
+
+class TestSlavedProfile:
+    @settings(deadline=None, max_examples=50)
+    @given(p_inf=st.floats(0.1, 4.0), sigma_kind=st.sampled_from(["identity", "bounded"]),
+           S=st.lists(st.floats(-1.0, 8.0), min_size=1, max_size=8),
+           scale=st.floats(0.1, 10.0))
+    def test_step_rate_is_a_scaled_exponential_tail(self, p_inf, sigma_kind, S, scale):
+        m = step_model(p_inf, sigma_kind, sigma_max=3.0 if sigma_kind == "bounded" else None)
+        age, S = AgeGrid(ns=100, s_max=10.0), np.asarray(S)
+        g = scale * (1.0 + np.arange(len(S)))
+        profile = slaved_profile(m, age, S, g)
+        tail = np.exp(-p_inf * np.maximum(age.nodes[:, None] - m.sigma(S)[None, :], 0.0))
+        np.testing.assert_allclose(profile, profile[0] * tail, rtol=1e-13)  # H(0, S) = 0
+        assert np.all(np.abs(age.weights @ profile - g) <= ROUNDOFF * age.ns * g)
+
+    @settings(deadline=None, max_examples=20)
+    @given(theta=st.floats(0.1, 2.0), p_star=st.floats(0.0, 1.0), s_star=st.floats(2.0, 12.0),
+           S=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=8))
+    def test_smooth_rate_columns_have_trapezoid_mass_g(self, theta, p_star, s_star, S):
+        m = smooth_model(theta, p_star=p_star, s_star=s_star)
+        age = AgeGrid(ns=200, s_max=20.0)
+        g = 0.5 + np.linspace(0.0, 1.0, len(S))
+        profile = slaved_profile(m, age, np.asarray(S), g)
+        assert np.all(profile > 0)
+        assert np.all(np.abs(age.weights @ profile - g) <= ROUNDOFF * age.ns * g)
 
 
 class TestIntervalRates:

