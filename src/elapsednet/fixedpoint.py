@@ -1,7 +1,8 @@
-"""Damped Picard iteration shared by the stimulation couplings and solvers."""
+"""Anderson-mixed fixed-point iteration shared by the stimulation couplings and solvers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,7 +17,8 @@ class PicardError(RuntimeError):
         self.residual = residual
 
 
-MIN_DAMPING = 1.0 / 64.0
+MEMORY = 4  # residual differences kept; 1-3 take more map evaluations, 6 no fewer
+DEPENDENT = 1e-5  # drop a difference whose Gram pivot is below this share of its norm^2
 
 
 @dataclass
@@ -28,6 +30,26 @@ class PicardResult:
     residual_history: list[float]
 
 
+def _least_squares(gram: list[list[float]], rhs: list[float]) -> list[float]:
+    """Minimise |f - c @ dF| from gram = dF dF^T and rhs = dF f by a Cholesky on plain
+    floats; a difference nearly dependent on the earlier ones is dropped (its c is 0),
+    which bounds the coefficients."""
+    L = [[0.0] * len(rhs) for _ in rhs]
+    y, c, kept = [0.0] * len(rhs), [0.0] * len(rhs), []
+    for j, row in enumerate(gram):
+        pivot = row[j] - sum(L[j][k] ** 2 for k in kept)
+        if not pivot > DEPENDENT * row[j]:
+            continue
+        L[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, len(rhs)):
+            L[i][j] = (gram[i][j] - sum(L[i][k] * L[j][k] for k in kept)) / L[j][j]
+        y[j] = (rhs[j] - sum(L[j][k] * y[k] for k in kept)) / L[j][j]
+        kept.append(j)
+    for j in reversed(kept):
+        c[j] = (y[j] - sum(L[i][j] * c[i] for i in kept if i > j)) / L[j][j]
+    return c
+
+
 def damped_fixed_point(
     apply_map: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
@@ -35,27 +57,39 @@ def damped_fixed_point(
     max_iters: int = 200,
     damping: float = 1.0,
 ) -> PicardResult:
-    """Iterate x <- (1 - w) x + w map(x) until the sup-residual drops below tol.
+    """Anderson mixing (type II, memory MEMORY) of x -> map(x), x a 1-D array, until the
+    sup-residual |map(x) - x| is below tol; without convergence, the last iterate and its
+    residual.
 
-    The damping w starts at `damping` and is halved whenever the residual
-    increases (down to MIN_DAMPING), which keeps oscillating inhibitory
-    maps convergent well outside the proved contraction regime.
+    Each step mixes, with weight `damping`, the combination of the last MEMORY + 1
+    iterates of least residual 2-norm with its map value: with no memory, the damped step
+    x + damping (map(x) - x).  The memory is never cleared: a restart after a rise in
+    residual, with its damped step, can cycle on a steep map that mixing solves.  Where
+    the map has several stable states, mixing may settle where plain damped steps do not:
+    on x -> tanh(3x) in R^3 it converged from 0.01 (1, -1, 3) to the unstable point 0, and
+    from 0.1 (1, -1, 3) at damping 1 to another sign pattern.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     x = np.array(x0, dtype=float)
-    w = damping
+    dF, dG = np.empty((MEMORY, x.size)), np.empty((MEMORY, x.size))  # newest first
+    x_last, residual = x, np.inf
     history: list[float] = []
-    last = np.inf
     for it in range(1, max_iters + 1):
-        fx = np.asarray(apply_map(x), dtype=float)
-        residual = float(np.abs(fx - x).max())
+        gx = np.asarray(apply_map(x), dtype=float)
+        f = gx - x
+        residual = float(np.abs(f).max())
         history.append(residual)
         if residual < tol:
-            return PicardResult(fx, residual, it, True, history)
-        # non-improving residuals include period-2 cycles, so halve on >= too
-        if residual >= last and w > MIN_DAMPING:
-            w = max(0.5 * w, MIN_DAMPING)
-        last = residual
-        x = (1.0 - w) * x + w * fx
-    return PicardResult(x, last, max_iters, False, history)
+            return PicardResult(gx, residual, it, True, history)
+        step = x + damping * f
+        m = min(it - 1, MEMORY)
+        if m:
+            dF[1:], dG[1:] = dF[:-1], dG[:-1]
+            dF[0], dG[0] = f - f_last, gx - g_last
+            # matrix-vector products only: lstsq, solve and dgemm fault BLAS pages into RSS
+            c = np.array(_least_squares([(dF[:m] @ row).tolist() for row in dF[:m]],
+                                        (dF[:m] @ f).tolist()))
+            step -= c @ dG[:m] - (1.0 - damping) * (c @ dF[:m])
+        x_last, x, f_last, g_last = x, step, f, gx
+    return PicardResult(x_last, residual, max_iters, False, history)

@@ -328,8 +328,8 @@ def nonlinear_run(
     """Advance the coupled density/kernel system to t_end.
 
     Per step: (i) activity N from the current density and stimulation;
-    (ii) S = integral(w N) + I, once in 'lagged' mode or iterated with
-    damping to the configured tolerance in 'iterate' mode; (iii) upwind
+    (ii) S = integral(w N) + I, once in 'lagged' mode or solved by Anderson
+    mixing to the configured tolerance in 'iterate' mode; (iii) upwind
     transport step with S frozen; (iv) kernel update
     w <- exp(-dt) w + (1 - exp(-dt)) gamma G(N(x), N(y)) with N frozen.
 

@@ -1,4 +1,4 @@
-"""Stationary states via damped Picard iteration of the stimulation map.
+"""Stationary states via Anderson-mixed iteration of the stimulation map.
 
 A steady state is determined by a stimulation profile S(x) satisfying
 
@@ -6,7 +6,7 @@ A steady state is determined by a stimulation profile S(x) satisfying
 
 from which the activity N = g F(S), the kernel w = gamma G(N(x), N(y)) and
 the age profile n(s, x) = N(x) exp(-hazard) follow in closed form.  The
-iteration is damped Picard (damping halved on residual increase) from three
+iteration is Anderson mixing (`fixedpoint.damped_fixed_point`) from three
 starts, keeping the distinct converged states; the contraction certificate
 gamma ||F'|| (2 ||g|| ||F|| + 1) < 1, sufficient for a unique state, is
 reported but convergence is attempted regardless.
@@ -82,10 +82,12 @@ class StationaryProblem:
 
 def solve_stationary(problem: StationaryProblem, tol: float = 1e-12,
                      max_iters: int = 10_000) -> list[StationaryState]:
-    """Damped Picard iteration of the stationary map to residual < tol from the starts
+    """Anderson-mixed iteration of the stationary map to residual < tol from the starts
     I, I + gamma and 0: the distinct converged states (sup-distance > 10 tol apart) in
-    the order of their starts, none for a start that does not converge.  The
-    contraction certificate is computed once and shared by every state.
+    the order of their starts, none for a start that does not converge.  Where there are
+    several states, a start may reach one that plain Picard iteration repels (see
+    `damped_fixed_point`).  The contraction certificate is computed once and shared by
+    every state.
     """
     certificate = problem.certificate()
     I = problem.input_values

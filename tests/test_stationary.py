@@ -91,7 +91,13 @@ class TestSolveStationary:
         state = solve_stationary(prob, tol=1e-12)[0]
         cert = state.contraction_certificate
         assert cert.holds
-        hist = np.asarray(state.residual_history)
+        # the certificate bounds the contraction of apply_T itself, so plain steps of it
+        S, hist = prob.input_values, []
+        for _ in range(40):
+            TS = prob.apply_T(S)
+            hist.append(np.abs(TS - S).max())
+            S = TS
+        hist = np.asarray(hist)
         usable = hist > 1e-13
         ratios = hist[1:][usable[1:]] / hist[:-1][usable[1:]]
         assert np.all(ratios <= cert.lhs + 0.05)
@@ -114,6 +120,19 @@ class TestSolveStationary:
     def test_nonconverged_gives_no_state(self):
         prob = make_problem(1.0, 1.0)
         assert solve_stationary(prob, tol=1e-15, max_iters=3) == []
+
+    def test_steep_map_outside_the_certificate_converges(self):
+        # apply_T falls from 79 at S = 0 to 0.03 at S = 4 and has slope -2.3 at the state,
+        # so plain steps cycle between the ends; restarting the mixing at each rise in
+        # residual cycled there too, from every start
+        space, age = SpatialGrid(nx=1), AgeGrid(ns=25, s_max=14.0)
+        model = FiringRateModel(kind="step", p_inf=3.3, sigma=SigmaMap("bounded", sigma_max=4.0))
+        prob = StationaryProblem(space, age, np.ones(1), model, LearningRule("hebbian", 2.2),
+                                 np.zeros(1))
+        assert not prob.certificate().holds
+        states = solve_stationary(prob, tol=1e-12)
+        assert len(states) == 1
+        assert np.abs(prob.apply_T(states[0].S_star) - states[0].S_star).max() < 1e-11
 
 
 class TestSmoothRateStationary:
