@@ -15,20 +15,18 @@ regime the mixing reports what it finds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fixedpoint import PicardError, damped_fixed_point
-from .grids import ConnectivityKernel, DensityField
+from .grids import ConnectivityKernel, DensityField, GridError
 from .models import (FiringRateModel, InputModel, LearningRule, ModelError, slaved_profile,
                      survival_F)
-from .renewal import PicardOptions, Recorder, RunRecord, SolverConfig, nonlinear_run
+from .renewal import PicardOptions, Recorder, RunRecord, SolverConfig, nonlinear_steps
 
 INNER_MAX_ITERS = 500
-# the epsilon study keeps the limit rows' profiles for the later epsilons that sample them,
-# up to this many bytes; past it a profile is formed again at each use, with the same bytes
-PROFILE_CACHE_BYTES = 64 * 2**20
 
 
 def inner_fixed_point(
@@ -116,16 +114,9 @@ def check_epsilons(eps_list) -> tuple[float, ...]:
     return eps
 
 
-def epsilon_study(
-    eps_list,
-    n0: DensityField,
-    w0: ConnectivityKernel,
-    model: FiringRateModel,
-    rule: LearningRule,
-    input_model: InputModel,
-    T: float,
-    picard=None,
-) -> EpsilonStudy:
+def epsilon_study(eps_list, n0: DensityField, w0: ConnectivityKernel, model: FiringRateModel,
+                  rule: LearningRule, input_model: InputModel, T: float,
+                  picard=None) -> EpsilonStudy:
     """Distances between the rescaled runs and the limit solution on [0, T].
 
     All epsilon runs share the same grids so scheme error cancels in the
@@ -134,49 +125,56 @@ def epsilon_study(
     time integrals are trapezoid sums over samples, every other solver step
     and the last, of |N - N_bar| and of |n - n_bar| with n_bar the
     `slaved_profile` of the limit's S; so they resolve the width-O(eps)
-    initial layer without storing density snapshots; each limit row's profile
-    is formed once and kept for the later epsilons, up to PROFILE_CACHE_BYTES.
-    The reported order is
+    initial layer without storing density snapshots.  The runs step side by
+    side, merged in time, so the samples reach the limit rows in order and each
+    sampled row's profile is formed once.  An epsilon whose step does not divide T
+    is refused, naming it, before any run.  The reported order is
     the log-log slope of the density distance against epsilon, NaN for one.
     """
+    import heapq  # here, so that the commands that merge no runs never load it
+
     eps = check_epsilons(eps_list)
     age, space = n0.age, n0.space
     g = n0.mass()
+
+    recorders = []
+    for e in eps:
+        try:
+            recorders.append(Recorder(space, e * age.ds / 2.0, T, save_every=T))
+        except GridError as exc:
+            raise GridError(f"epsilon {e}: {exc}", field=exc.field) from None
 
     dt_limit = min(eps) * age.ds / 2.0
     limit_rec = limit_run(w0.copy(), g, model, rule, input_model, dt_limit, T,
                           save_every=dt_limit)
 
+    def steps(i: int, e: float, recorder: Recorder):  # (i, step, (t, values, N, S)) per step
+        cfg = SolverConfig(dt=recorder.dt, epsilon=e, picard=picard or PicardOptions())
+        run = nonlinear_steps(n0, w0, model, rule, input_model, cfg, recorder)
+        return zip(itertools.repeat(i), itertools.count(), run)
+
+    samples = [[] for _ in eps]  # per epsilon (t, |n - n_bar|, |N - N_bar|)
+    row_now = -1
+    # a run steps only when resumed, and the merge resumes it once its last state is used
+    for i, step, (t, values, N, _) in heapq.merge(*map(steps, range(len(eps)), eps, recorders),
+                                                  key=lambda item: item[2][0]):
+        if step % 2 and step != recorders[i].n_steps:
+            continue
+        row = min(int(round(t / dt_limit)), len(limit_rec.times) - 1)
+        if row != row_now:  # the merged times, and with them the rows, never fall
+            row_now, n_bar = row, slaved_profile(model, age, limit_rec.S_series[row], g)
+        samples[i].append((t, float(space.weights @ (age.weights @ np.abs(values - n_bar))),
+                           float(space.weights @ np.abs(N - limit_rec.N_series[row]))))
+
     dist_n, dist_N = np.zeros(len(eps)), np.zeros(len(eps))
-    records: dict[float, RunRecord] = {}
-    profiles: dict[int, np.ndarray] = {}  # limit row -> slaved_profile of its S
-
-    for i, e in enumerate(eps):
-        cfg = SolverConfig(dt=e * age.ds / 2.0, epsilon=e, picard=picard or PicardOptions())
-        last = int(round(T / cfg.dt))
-        samples: list[tuple[float, float, float]] = []  # (t, |n - n_bar|, |N - N_bar|)
-
-        def distances(step, values, N, S):
-            if step % 2 and step != last:
-                return
-            t = step * cfg.dt
-            row = min(int(round(t / dt_limit)), len(limit_rec.times) - 1)
-            n_bar = profiles.get(row)
-            if n_bar is None:
-                n_bar = slaved_profile(model, age, limit_rec.S_series[row], g)
-                if (len(profiles) + 1) * n_bar.nbytes <= PROFILE_CACHE_BYTES:
-                    profiles[row] = n_bar
-            samples.append((t, float(space.weights @ (age.weights @ np.abs(values - n_bar))),
-                            float(space.weights @ np.abs(N - limit_rec.N_series[row]))))
-
-        records[e] = nonlinear_run(n0.copy(), w0.copy(), model, rule, input_model, cfg, T,
-                                   save_every=T, observer=distances)
+    for i, rows in enumerate(samples):
         # contiguous rows: a dot product over strided columns differs in the last digits
-        t, d_n, d_N = np.array(samples).T.copy()
+        t, d_n, d_N = np.array(rows).T.copy()
         half = 0.5 * np.diff(t)
         weights = np.r_[half, 0.0] + np.r_[0.0, half]  # the trapezoid rule over the samples
         dist_n[i], dist_N[i] = weights @ d_n, weights @ d_N
 
     slope = (float(np.polyfit(np.log(eps), np.log(np.maximum(dist_n, 1e-300)), 1)[0])
              if len(eps) >= 2 else float("nan"))
+    records = {e: recorder.record() for e, recorder in zip(eps, recorders)}
     return EpsilonStudy(eps, T, dist_n, dist_N, slope, records)

@@ -313,19 +313,24 @@ def linear_step(n: DensityField, S: np.ndarray, model: FiringRateModel,
     return DensityField(stepper.values, n.age, n.space), N
 
 
-def nonlinear_run(
-    n0: DensityField,
-    w0: ConnectivityKernel,
-    model: FiringRateModel,
-    rule: LearningRule,
-    input_model: InputModel,
-    cfg: SolverConfig,
-    t_end: float,
-    save_every: float | None = None,
-    snapshot_times: tuple[float, ...] = (),
-    observer=None,
-) -> RunRecord:
-    """Advance the coupled density/kernel system to t_end.
+def nonlinear_run(n0: DensityField, w0: ConnectivityKernel, model: FiringRateModel,
+                  rule: LearningRule, input_model: InputModel, cfg: SolverConfig, t_end: float,
+                  save_every: float | None = None,
+                  snapshot_times: tuple[float, ...] = ()) -> RunRecord:
+    """Advance the coupled density/kernel system to t_end by `nonlinear_steps`, recorded
+    every `save_every`, at `snapshot_times` and at t_end; a CFLError comes before a GridError."""
+    cfg.validate(n0.age, model)
+    recorder = Recorder(n0.space, cfg.dt, t_end, save_every, snapshot_times)
+    for _ in nonlinear_steps(n0, w0, model, rule, input_model, cfg, recorder):
+        pass
+    return recorder.record()
+
+
+def nonlinear_steps(n0: DensityField, w0: ConnectivityKernel, model: FiringRateModel,
+                    rule: LearningRule, input_model: InputModel, cfg: SolverConfig,
+                    recorder: Recorder):
+    """Step the coupled density/kernel system to the recorder's last step, saving its
+    due rows and yielding (t, values, N, S) at step 0 and after every step.
 
     Per step: (i) activity N from the current density and stimulation;
     (ii) S = integral(w N) + I, once in 'lagged' mode or solved by Anderson
@@ -333,19 +338,18 @@ def nonlinear_run(
     transport step with S frozen; (iv) kernel update
     w <- exp(-dt) w + (1 - exp(-dt)) gamma G(N(x), N(y)) with N frozen.
 
-    An `observer(step, values, N, S)` callback, when given, is invoked at
-    step 0 and after every step with the live state, so studies read the
-    density without the record storing it.  The initial coupling solve and,
-    in 'iterate' mode, every per-step one raise PicardError when they do
-    not converge.  `build_experiment`, not this function, checks that the
-    firing threshold stays inside the age domain.
+    `values` is the live density until the generator is resumed, so studies read it
+    without the record storing it.  The initial coupling solve and, in 'iterate' mode,
+    every per-step one raise PicardError when they do not converge.  `build_experiment`,
+    not this function, checks that the firing threshold stays inside the age domain.
     """
     stepper = Stepper(n0, model, cfg)  # validates the step sizes first
     space, age = n0.space, n0.age
     g = n0.mass()
     I_vals = input_model.evaluate(space)
-    rule.warn_if_unnormalized(model.p_inf * float(g.max()))
-    recorder = Recorder(space, cfg.dt, t_end, save_every, snapshot_times)
+    # both warnings skip this generator and its driver: nonlinear_run, heapq.merge or the
+    # study that zips it
+    rule.warn_if_unnormalized(model.p_inf * float(g.max()), stacklevel=4)
 
     w = w0.values.copy()
     decay = np.exp(-cfg.dt)
@@ -368,8 +372,7 @@ def nonlinear_run(
     stepper.set_rates(S)
     N = stepper.flux()
     recorder.save(0, N, S, age.integrate(stepper.values), w)
-    if observer is not None:
-        observer(0, stepper.values, N, S)
+    yield 0.0, stepper.values, N, S
 
     for step in range(1, recorder.n_steps + 1):
         # (i)-(ii): stimulation coupling on the pre-step field
@@ -388,16 +391,12 @@ def nonlinear_run(
 
         if recorder.due(step):  # the mass is integrated on recorded steps only
             recorder.save(step, N, S, age.integrate(stepper.values), w)
-        if observer is not None:
-            observer(step, stepper.values, N, S)
+        yield step * cfg.dt, stepper.values, N, S
 
     tail = float(stepper.values[-1].max() * age.weights[-1])
     if tail > 1e-8 * max(1.0, float(g.max())):
-        warnings.warn(
-            f"absorbing-node mass {tail:.3e} at run end; consider a larger s_max",
-            stacklevel=2,
-        )
-    return recorder.record()
+        warnings.warn(f"absorbing-node mass {tail:.3e} at run end; consider a larger s_max",
+                      stacklevel=3)
 
 
 # ---------------------------------------------------------------------------
@@ -585,22 +584,16 @@ def check_ks(k_values) -> tuple[float, ...]:
     return ks
 
 
-def large_input_run(
-    k_values,
-    n0: DensityField,
-    w0: ConnectivityKernel,
-    model: FiringRateModel,
-    rule: LearningRule,
-    input_model: InputModel,
-    cfg: SolverConfig,
-    t_end: float,
-    sample_times: tuple[float, ...] = (),
-) -> LargeInputStudy:
+def large_input_run(k_values, n0: DensityField, w0: ConnectivityKernel, model: FiringRateModel,
+                    rule: LearningRule, input_model: InputModel, cfg: SolverConfig, t_end: float,
+                    sample_times: tuple[float, ...] = ()) -> LargeInputStudy:
     """Run the system with inputs k*I and compare to the frozen-rate limit.
 
     The limit dynamics use the rate p(s, inf) = lim_{S->inf} p(s, S): the
     large-stimulation threshold sigma(inf) frozen, no coupling.  Requires
-    I > 0 everywhere so the stimulation diverges with k.
+    I > 0 everywhere so the stimulation diverges with k.  The limit run and the
+    k runs share one dt and step side by side, so each distance is taken from the
+    live densities at its sample step.
     """
     I_vals = input_model.evaluate(n0.space)
     if np.min(I_vals) <= 0:
@@ -610,27 +603,20 @@ def large_input_run(
         sample_times = (t_end,)
 
     sample_steps = [whole_steps(ts, cfg.dt, field="sample_times") for ts in sample_times]
-
-    def run(*args) -> tuple[RunRecord, dict[int, np.ndarray]]:
-        densities: dict[int, np.ndarray] = {}
-
-        def keep_samples(step, values, N, S):
-            if step in sample_steps:
-                densities[step] = values.copy()
-
-        rec = nonlinear_run(*args, cfg, t_end, save_every=t_end, observer=keep_samples)
-        return rec, densities
-
-    limit_rate = model.limit_model()
-    zero_rule = LearningRule(rule.kind, 0.0)
+    cfg.validate(n0.age, model)  # the step sizes before the t_end grid, as in nonlinear_run
+    recorders = [Recorder(n0.space, cfg.dt, t_end, save_every=t_end) for _ in (0, *ks)]
     w_zero = ConnectivityKernel(np.zeros_like(w0.values), w0.space)
-    limit_record, limit_n = run(n0.copy(), w_zero, limit_rate, zero_rule, input_model)
+    runs = [nonlinear_steps(n0, w_zero, model.limit_model(), LearningRule(rule.kind, 0.0),
+                            input_model, cfg, recorders[0])]
+    runs += [nonlinear_steps(n0, w0, model, rule, input_model.scaled_by(k), cfg, recorder)
+             for k, recorder in zip(ks, recorders[1:])]
 
-    records: dict[float, RunRecord] = {}
-    distances = np.zeros((len(ks), len(sample_times)))
-    for i, k in enumerate(ks):
-        records[k], n_k = run(n0.copy(), w0.copy(), model, rule, input_model.scaled_by(k))
-        for j, step in enumerate(sample_steps):
-            per_x = n0.age.integrate(np.abs(n_k[step] - limit_n[step]))
-            distances[i, j] = float(n0.space.integrate(per_x))
-    return LargeInputStudy(ks, tuple(sample_times), distances, records, limit_record)
+    at_step = {}  # sample step -> L1 distance over (s, x) of each k run
+    # strict: the k runs are resumed past their last step too, to their end-of-run checks
+    for step, ((_, limit_n, _, _), *states) in enumerate(zip(*runs, strict=True)):
+        if step in sample_steps:
+            at_step[step] = [float(n0.space.integrate(n0.age.integrate(np.abs(n_k - limit_n))))
+                             for _, n_k, _, _ in states]
+    distances = np.array([at_step[step] for step in sample_steps]).T
+    records = {k: recorder.record() for k, recorder in zip(ks, recorders[1:])}
+    return LargeInputStudy(ks, tuple(sample_times), distances, records, recorders[0].record())

@@ -98,8 +98,9 @@ def small_config_texts(draw) -> str:
     dt = epsilon * ds / 2.0  # the auto step
     rate = draw(st.sampled_from(["step", "smooth"]))
     sigma = draw(st.sampled_from(["identity", "bounded", "constant"]))
-    # epsilon / 2^i: a whole number of steps at epsilon is one at each study epsilon;
-    # an even number of them puts large-input's half-time sample on a step
+    # epsilon / m, m = 1..5: a whole number k of steps at epsilon is k m at each study
+    # epsilon, and the lists need not nest; an even number of steps puts large-input's
+    # half-time sample on a step
     lines = {
         "nx": draw(st.integers(1, 5)), "ns": ns, "s_max": s_max, "epsilon": epsilon,
         # a float time is snapped to the step grid but for one draw in four, which
@@ -118,7 +119,8 @@ def small_config_texts(draw) -> str:
         "density": draw(st.sampled_from(["homogeneous", "gaussian_profile"])),
         "kernel": draw(st.sampled_from(["gaussian", "constant", "zero"])),
         "kernel_amplitude": draw(st.floats(0.0, 3.0)),
-        "epsilon_list": ", ".join(str(epsilon / 2**i) for i in range(draw(st.integers(1, 3)))),
+        "epsilon_list": ", ".join(str(epsilon / m) for m in sorted(draw(
+            st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True)))),
         "large_input_k": ", ".join(map(str, sorted(draw(
             st.lists(st.floats(0.5, 100.0), min_size=1, max_size=3, unique=True))))),
     }

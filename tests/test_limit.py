@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import elapsednet.limit as limit_module
 from elapsednet.config import build_experiment, with_overrides
 from elapsednet.diagnostics import regime_certificates
-from elapsednet.grids import ConnectivityKernel, SpatialGrid
+from elapsednet.grids import ConnectivityKernel, GridError, SpatialGrid
 from elapsednet.limit import epsilon_study, inner_fixed_point, limit_run
-from elapsednet.models import FiringRateModel, InputModel, LearningRule, SigmaMap, survival_F
+from elapsednet.models import (FiringRateModel, InputModel, LearningRule, SigmaMap,
+                               slaved_profile, survival_F)
 from elapsednet.presets import get_preset
-from elapsednet.renewal import SolverConfig, nonlinear_run
+from elapsednet.renewal import Recorder, SolverConfig, nonlinear_run, nonlinear_steps
 from elapsednet.stationary import StationaryProblem, solve_stationary
 
 
@@ -152,3 +154,58 @@ class TestEpsilonStudy:
         with pytest.raises(ValueError):
             epsilon_study((0.1, 0.2), exp.n0, exp.w0, exp.model, exp.rule,
                           exp.input_model, T=1.0)
+
+    def test_off_grid_epsilon_is_refused_before_any_run(self, monkeypatch):
+        # ds = 0.05: dt = 0.00175 at epsilon 0.07 does not divide T = 1, dt = 0.0025 at 0.1 does
+        exp = self.weak_experiment()
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the epsilons were checked")
+
+        monkeypatch.setattr(limit_module, "limit_run", no_run)
+        with pytest.raises(GridError, match=r"^epsilon 0\.07: t_end = 1\.0 is not a multiple "
+                                            r"of dt = 0\.00175"):
+            epsilon_study((0.1, 0.07), exp.n0, exp.w0, exp.model, exp.rule,
+                          exp.input_model, T=1.0)
+
+    def test_lockstep_matches_one_run_at_a_time(self, monkeypatch):
+        # rows not nested across the epsilons, and at 0.05 the samples fall on t / dt_limit
+        # = 2.5 k, round-half ties
+        cfg = with_overrides(get_preset("g1i1c").config, kernel_amplitude=2.0, ns=200,
+                             s_max=20.0)
+        exp = build_experiment(cfg)
+        eps, T = (0.25, 0.05, 0.04), 1.0
+        age, space, g = exp.age, exp.space, exp.n0.mass()
+        dt_limit = min(eps) * age.ds / 2.0
+        limit_rec = limit_run(exp.w0.copy(), g, exp.model, exp.rule, exp.input_model,
+                              dt_limit, T, save_every=dt_limit)
+        ref_n, ref_N, rows = [], [], set()
+        for e in eps:  # each epsilon alone, with a profile formed at every sample
+            recorder = Recorder(space, e * age.ds / 2.0, T, save_every=T)
+            run = nonlinear_steps(exp.n0, exp.w0, exp.model, exp.rule, exp.input_model,
+                                  SolverConfig(dt=recorder.dt, epsilon=e), recorder)
+            samples = []
+            for step, (t, values, N, S) in enumerate(run):
+                if step % 2 == 0 or step == recorder.n_steps:
+                    row = min(round(t / dt_limit), len(limit_rec.times) - 1)
+                    rows.add(row)
+                    n_bar = slaved_profile(exp.model, age, limit_rec.S_series[row], g)
+                    samples.append((t, space.weights @ (age.weights @ np.abs(values - n_bar)),
+                                    space.weights @ np.abs(N - limit_rec.N_series[row])))
+            t, d_n, d_N = np.array(samples).T.copy()
+            half = 0.5 * np.diff(t)
+            weights = np.r_[half, 0.0] + np.r_[0.0, half]
+            ref_n.append(weights @ d_n)
+            ref_N.append(weights @ d_N)
+
+        formed = []
+
+        def counted(model, age, S, g):
+            formed.append(S.copy())
+            return slaved_profile(model, age, S, g)
+
+        monkeypatch.setattr(limit_module, "slaved_profile", counted)
+        study = epsilon_study(eps, exp.n0, exp.w0, exp.model, exp.rule, exp.input_model, T=T)
+        assert study.dist_n.tolist() == ref_n and study.dist_N.tolist() == ref_N
+        # one profile per distinct sampled row, in row order
+        np.testing.assert_array_equal(formed, limit_rec.S_series[sorted(rows)])

@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from elapsednet.diagnostics import regime_certificates
 from elapsednet.fixedpoint import PicardError, damped_fixed_point
 from elapsednet.grids import (AgeGrid, ConnectivityKernel, DensityField, GridError, SpatialGrid,
                               norms)
+from elapsednet.limit import epsilon_study
 from elapsednet.models import FiringRateModel, InputModel, LearningRule, SigmaMap
 from elapsednet.renewal import (
     CFLError,
@@ -341,6 +343,20 @@ class TestNonlinearRun:
                           InputModel("constant", amplitude=1.0),
                           SolverConfig(dt=age.ds / 2), t_end=1.0 + 0.3 * age.ds)
 
+    def test_step_sizes_are_checked_before_t_end(self):
+        # dt/epsilon > ds and t_end off the grid: the CFLError of the step comes first
+        age, space = AgeGrid(ns=100, s_max=10.0), SpatialGrid(nx=2)
+        n0 = DensityField.from_function(age, space, lambda s, x: np.exp(-s) + 0 * x)
+        n0.normalize_mass(1.0)
+        w0 = ConnectivityKernel.constant(space, 0.0)
+        cfg = SolverConfig(dt=2 * age.ds)
+        args = (n0, w0, step_model(sigma_kind="bounded", sigma_max=2.0),
+                LearningRule("hebbian", 0.0), InputModel("constant", amplitude=1.0), cfg)
+        with pytest.raises(CFLError):
+            nonlinear_run(*args, t_end=1.0 + 0.3 * cfg.dt)
+        with pytest.raises(CFLError):
+            large_input_run([1.0], *args, t_end=1.0 + 0.3 * cfg.dt, sample_times=(cfg.dt,))
+
 
 class TestSmoothRate:
     @staticmethod
@@ -465,3 +481,28 @@ class TestLargeInput:
                                     t_end=1.0, sample_times=(1.0,))
         sups = [study.records[k].final_N().max() for k in (1.0, 10.0, 100.0)]
         assert sups[0] > sups[1] > sups[2]
+
+
+def test_run_warnings_point_at_the_caller():
+    # mass 2 lets the Hebbian rule reach 4 > 1, and s_max = 2 leaves mass in the absorbing node
+    # of every run; neither warning may name the generator's module or heapq, which merges
+    # the study's runs, and each run ends with its check, the last of the zipped ones too
+    age, space = AgeGrid(ns=40, s_max=2.0), SpatialGrid(nx=2)
+    n0 = DensityField.from_function(age, space, lambda s, x: np.exp(-s) + 0 * x)
+    n0.normalize_mass(2.0)
+    w0, rule = ConnectivityKernel.constant(space, 0.5), LearningRule("hebbian", 0.5)
+    model, I = step_model(sigma_kind="bounded", sigma_max=1.0), InputModel("constant", 1.0)
+    cfg = SolverConfig(dt=age.ds / 2)
+    for runs, call, where in [
+        (1, lambda: nonlinear_run(n0, w0, model, rule, I, cfg, t_end=0.5), "test_renewal.py"),
+        (2, lambda: epsilon_study((1.0, 0.5), n0, w0, model, rule, I, T=0.5), "limit.py"),
+        (3, lambda: large_input_run([1.0, 2.0], n0, w0, model, rule, I, cfg, t_end=0.5),
+         "test_renewal.py"),
+    ]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        texts = [str(w.message) for w in caught]
+        assert sum(t.startswith("learning rule") for t in texts) == runs, texts
+        assert sum(t.startswith("absorbing-node mass") for t in texts) == runs, texts
+        assert {os.path.basename(w.filename) for w in caught} == {where}

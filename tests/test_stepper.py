@@ -15,10 +15,12 @@ from elapsednet.renewal import (
     BLOCK_ROWS,
     NegativeDensityError,
     PicardOptions,
+    Recorder,
     SolverConfig,
     Stepper,
     linear_step,
     nonlinear_run,
+    nonlinear_steps,
 )
 
 # Below ~1e-292 the products ds * p * nbar are subnormal and keep no relative
@@ -469,18 +471,21 @@ def test_recorded_rows_and_snapshots_do_not_share_buffers():
     np.testing.assert_array_equal(rec.N_series[:21], early.N_series)
 
 
-def test_observer_sees_step_zero_and_every_step():
+def test_steps_yield_step_zero_and_every_step():
     n0, w0, input_model = _small_problem()
     model = FiringRateModel(kind="step", p_inf=1.0, sigma=SigmaMap("identity"))
+    rule = LearningRule("hebbian", 1.0)
     cfg = SolverConfig(dt=n0.age.ds / 2)
-    seen = []
-
-    def observer(step, values, N, S):
-        seen.append((step, n0.age.integrate(values), N.copy()))
-
-    rec = nonlinear_run(n0, w0, model, LearningRule("hebbian", 1.0), input_model, cfg,
-                        t_end=40 * cfg.dt, save_every=cfg.dt, observer=observer)
-    assert [step for step, _, _ in seen] == list(range(41))
-    # the live density at each call is the one the record's row was taken from
+    recorder = Recorder(n0.space, cfg.dt, 40 * cfg.dt, save_every=cfg.dt)
+    seen = [(t, n0.age.integrate(values), N.copy())
+            for t, values, N, S in nonlinear_steps(n0, w0, model, rule, input_model, cfg, recorder)]
+    rec = recorder.record()
+    assert [t for t, _, _ in seen] == [step * cfg.dt for step in range(41)] == list(rec.times)
+    # the live density of each state is the one the record's row was taken from
     np.testing.assert_array_equal([mass for _, mass, _ in seen], rec.mass_series)
     np.testing.assert_array_equal([N for _, _, N in seen], rec.N_series)
+    # nonlinear_run drains the same steps into the same record
+    run = nonlinear_run(n0, w0, model, rule, input_model, cfg, t_end=40 * cfg.dt,
+                        save_every=cfg.dt)
+    np.testing.assert_array_equal(run.N_series, rec.N_series)
+    np.testing.assert_array_equal(run.mass_series, rec.mass_series)
