@@ -114,9 +114,16 @@ def check_epsilons(eps_list) -> tuple[float, ...]:
     return eps
 
 
-def epsilon_study(eps_list, n0: DensityField, w0: ConnectivityKernel, model: FiringRateModel,
-                  rule: LearningRule, input_model: InputModel, T: float,
-                  picard=None) -> EpsilonStudy:
+def epsilon_study(
+    eps_list,
+    n0: DensityField,
+    w0: ConnectivityKernel,
+    model: FiringRateModel,
+    rule: LearningRule,
+    input_model: InputModel,
+    T: float,
+    picard=None,
+) -> EpsilonStudy:
     """Distances between the rescaled runs and the limit solution on [0, T].
 
     All epsilon runs share the same grids so scheme error cancels in the
@@ -151,6 +158,7 @@ def epsilon_study(eps_list, n0: DensityField, w0: ConnectivityKernel, model: Fir
     def steps(i: int, e: float, recorder: Recorder):  # (i, step, (t, values, N, S)) per step
         cfg = SolverConfig(dt=recorder.dt, epsilon=e, picard=picard or PicardOptions())
         run = nonlinear_steps(n0, w0, model, rule, input_model, cfg, recorder)
+        # zip, not a generator expression: the run's warnings skip one frame, the merge's
         return zip(itertools.repeat(i), itertools.count(), run)
 
     samples = [[] for _ in eps]  # per epsilon (t, |n - n_bar|, |N - N_bar|)

@@ -325,14 +325,14 @@ class LearningRule:
         N = np.asarray(N, dtype=float)
         return ConnectivityKernel(self.gamma * self.evaluate(N[:, None], N[None, :]), space)
 
-    def warn_if_unnormalized(self, N_max: float, stacklevel: int = 2) -> None:
+    def warn_if_unnormalized(self, N_max: float) -> None:
         """The Hebbian rule can exceed 1 on large activities; warn, never reject."""
         g_max = float(self.evaluate(N_max, N_max))
         if g_max > 1.0 + 1e-12:
             warnings.warn(
                 f"learning rule {self.kind!r} reaches {g_max:.3g} > 1 on the reachable "
                 f"activity range; the uniform kernel bound max(||w0||, gamma*G) applies",
-                stacklevel=stacklevel,
+                stacklevel=4,  # past `nonlinear_steps` and its driver, to the driver's caller
             )
 
 

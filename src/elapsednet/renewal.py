@@ -313,10 +313,17 @@ def linear_step(n: DensityField, S: np.ndarray, model: FiringRateModel,
     return DensityField(stepper.values, n.age, n.space), N
 
 
-def nonlinear_run(n0: DensityField, w0: ConnectivityKernel, model: FiringRateModel,
-                  rule: LearningRule, input_model: InputModel, cfg: SolverConfig, t_end: float,
-                  save_every: float | None = None,
-                  snapshot_times: tuple[float, ...] = ()) -> RunRecord:
+def nonlinear_run(
+    n0: DensityField,
+    w0: ConnectivityKernel,
+    model: FiringRateModel,
+    rule: LearningRule,
+    input_model: InputModel,
+    cfg: SolverConfig,
+    t_end: float,
+    save_every: float | None = None,
+    snapshot_times: tuple[float, ...] = (),
+) -> RunRecord:
     """Advance the coupled density/kernel system to t_end by `nonlinear_steps`, recorded
     every `save_every`, at `snapshot_times` and at t_end; a CFLError comes before a GridError."""
     cfg.validate(n0.age, model)
@@ -326,9 +333,15 @@ def nonlinear_run(n0: DensityField, w0: ConnectivityKernel, model: FiringRateMod
     return recorder.record()
 
 
-def nonlinear_steps(n0: DensityField, w0: ConnectivityKernel, model: FiringRateModel,
-                    rule: LearningRule, input_model: InputModel, cfg: SolverConfig,
-                    recorder: Recorder):
+def nonlinear_steps(
+    n0: DensityField,
+    w0: ConnectivityKernel,
+    model: FiringRateModel,
+    rule: LearningRule,
+    input_model: InputModel,
+    cfg: SolverConfig,
+    recorder: Recorder,
+):
     """Step the coupled density/kernel system to the recorder's last step, saving its
     due rows and yielding (t, values, N, S) at step 0 and after every step.
 
@@ -342,14 +355,14 @@ def nonlinear_steps(n0: DensityField, w0: ConnectivityKernel, model: FiringRateM
     without the record storing it.  The initial coupling solve and, in 'iterate' mode,
     every per-step one raise PicardError when they do not converge.  `build_experiment`,
     not this function, checks that the firing threshold stays inside the age domain.
+    Its warnings skip the one frame that drives it (`nonlinear_run`, `large_input_run`,
+    `heapq.merge` or a loop over it) and name that frame's caller.
     """
     stepper = Stepper(n0, model, cfg)  # validates the step sizes first
     space, age = n0.space, n0.age
     g = n0.mass()
     I_vals = input_model.evaluate(space)
-    # both warnings skip this generator and its driver: nonlinear_run, heapq.merge or the
-    # study that zips it
-    rule.warn_if_unnormalized(model.p_inf * float(g.max()), stacklevel=4)
+    rule.warn_if_unnormalized(model.p_inf * float(g.max()))
 
     w = w0.values.copy()
     decay = np.exp(-cfg.dt)
@@ -395,8 +408,10 @@ def nonlinear_steps(n0: DensityField, w0: ConnectivityKernel, model: FiringRateM
 
     tail = float(stepper.values[-1].max() * age.weights[-1])
     if tail > 1e-8 * max(1.0, float(g.max())):
-        warnings.warn(f"absorbing-node mass {tail:.3e} at run end; consider a larger s_max",
-                      stacklevel=3)
+        warnings.warn(
+            f"absorbing-node mass {tail:.3e} at run end; consider a larger s_max",
+            stacklevel=3,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +599,17 @@ def check_ks(k_values) -> tuple[float, ...]:
     return ks
 
 
-def large_input_run(k_values, n0: DensityField, w0: ConnectivityKernel, model: FiringRateModel,
-                    rule: LearningRule, input_model: InputModel, cfg: SolverConfig, t_end: float,
-                    sample_times: tuple[float, ...] = ()) -> LargeInputStudy:
+def large_input_run(
+    k_values,
+    n0: DensityField,
+    w0: ConnectivityKernel,
+    model: FiringRateModel,
+    rule: LearningRule,
+    input_model: InputModel,
+    cfg: SolverConfig,
+    t_end: float,
+    sample_times: tuple[float, ...] = (),
+) -> LargeInputStudy:
     """Run the system with inputs k*I and compare to the frozen-rate limit.
 
     The limit dynamics use the rate p(s, inf) = lim_{S->inf} p(s, S): the
