@@ -134,24 +134,22 @@ class FiringRateModel:
             out = np.maximum(out, floor)
         return float(out) if np.ndim(out) == 0 else out
 
-    def interval_rates(self, age: AgeGrid, S, out: np.ndarray | None = None) -> np.ndarray:
-        """Mean rate over each age interval (s_{i-1}, s_i], shape (ns-1, [nx]).
+    def interval_rates(self, age: AgeGrid, S, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Mean rate over each age interval (s_{i-1}, s_i], shape (ns-1, [nx]), or over
+        the rows lo..hi - 1 only.
 
         For the step kind the cell containing sigma(S) gets the exact
         fractional overlap of the interval with (sigma, inf), which removes
-        the staircase dependence of the activity on sigma.  The rates are
-        written into `out` when it is given.
+        the staircase dependence of the activity on sigma.
         """
         sig = np.asarray(self.sigma(S), dtype=float)
-        edges = age.nodes[:, None] if sig.ndim else age.nodes
-        if out is None:
-            out = np.empty((age.ns - 1,) + sig.shape)
+        edges = (age.nodes[:, None] if sig.ndim else age.nodes)[lo : None if hi is None else hi + 1]
         if self.kind == "step":
-            np.divide(np.subtract(edges[1:], sig, out=out), age.ds, out=out)
+            out = np.divide(np.subtract(edges[1:], sig), age.ds)
             np.minimum(1.0, np.maximum(0.0, out, out=out), out=out)
             return np.multiply(out, self.p_inf, out=out)
         p = self.evaluate(edges, S)
-        return np.multiply(np.add(p[:-1], p[1:], out=out), 0.5, out=out)
+        return np.multiply(np.add(p[:-1], p[1:]), 0.5)
 
     def node_rates(self, age: AgeGrid, S) -> np.ndarray:
         """Per-node rates for trapezoid quadratures of the discharge integral."""
@@ -326,9 +324,10 @@ class LearningRule:
         return ConnectivityKernel(self.gamma * self.evaluate(N[:, None], N[None, :]), space)
 
     def warn_if_unnormalized(self, N_max: float) -> None:
-        """The Hebbian rule can exceed 1 on large activities; warn, never reject."""
+        """The Hebbian rule can exceed 1 on large activities; warn, never reject.  A rule of
+        gain 0 never moves the kernel and stays silent."""
         g_max = float(self.evaluate(N_max, N_max))
-        if g_max > 1.0 + 1e-12:
+        if self.gamma > 0 and g_max > 1.0 + 1e-12:
             warnings.warn(
                 f"learning rule {self.kind!r} reaches {g_max:.3g} > 1 on the reachable "
                 f"activity range; the uniform kernel bound max(||w0||, gamma*G) applies",

@@ -17,12 +17,12 @@ scheme a Crank-Nicolson stationary profile, accurate to O(ds^2).
 
 One `Stepper` takes every upwind step in place, as new_i = A_i n_i +
 B_i n_{i-1} with B = lam - dt r_i/(2 eps) and A = B + 1 - 2 lam, in blocks of
-rows that stay in cache.  For the step rate every interval above the cell k
-holding sigma(S) fires at p_inf, so with the suffix sums C_k of the interval
-means each trial activity of the coupling costs O(nx), and the rates change
-only in a band of rows between the old and the new k, plus the one above.
-A lagged step sums r_i nbar_i once, at the last step's rates, and corrects
-the sum by the band's change of rates.
+rows that stay in cache.  At a given S every interval below a band of rows
+fires at exactly 0 and every one above it at exactly p_inf; for the step rate
+the band is the threshold cells and the cell above them.  Those two zones are
+swept with scalar coefficients, and N is the band's product plus p_inf times
+one column sum over the top zone.  For the step rate each trial activity of an
+iterated coupling costs O(nx), from the suffix sums C_k of the interval means.
 
 The connectivity kernel relaxes toward gamma * G(N(x), N(y)) and is advanced
 by the exact one-step exponential formula with the activity frozen over the
@@ -174,10 +174,12 @@ class Stepper:
     """Explicit upwind steps of eps dn/dt + dn/ds + p(s, S) n = 0 on a copy of n.
 
     Per step: N for the coupling, from `flux` at the set rates (lagged) or `activity`
-    at trial S (iterated), then `advance` at S.  `flux` and `advance` sweep the field
-    in blocks of BLOCK_ROWS rows with a slice of nbar as scratch, so `activity` forms
-    nbar and the suffix sums again when the field or nbar changed.  Buffers of the
-    field's size: values, nbar, rates, A, B and suffix (the step-kind activity's sums).
+    at trial S (iterated), then `advance` at S.  `set_rates` splits the rows into zones:
+    in every column the rows below `lo` fire at exactly 0 and those from `hi` on at
+    exactly p_inf, so they are swept with the scalars (A0, B0) and (A1, B1); only the
+    band [lo, hi) holds its `rates`, `A` and `B`.  A lagged run holds one field-size
+    buffer, `values`, and a block of `scratch`; the step-kind `activity` adds nbar and
+    the suffix sums.
     """
 
     def __init__(self, n: DensityField, model: FiringRateModel, cfg: SolverConfig):
@@ -185,33 +187,37 @@ class Stepper:
         self.age, self.model, self.cfg = n.age, model, cfg
         self.lam = cfg.dt / (cfg.epsilon * n.age.ds)
         self.h = cfg.dt / (2.0 * cfg.epsilon)  # the loss weight of each interval end
-        # B >= 0 as ds p_inf <= 2, A >= 0 under the positivity check:
-        # both are clamped at 0 against round-off
         self.values = n.values.copy()
-        self.nbar, self.rates, self.A, self.B = (np.empty_like(n.values[1:]) for _ in range(4))
-        self.suffix = np.zeros(n.values.shape)  # C_k = sum_{i >= k} nbar_i; C_{ns-1} = 0
-        self.widths = np.full(n.age.ns - 1, n.age.ds)  # N = widths @ (r nbar), a column sum
+        self.scratch = np.empty((min(BLOCK_ROWS, n.age.ns - 1), n.space.nx))
+        self.ones = np.ones(n.age.ns)  # column sums as BLAS products
+        (self.B0, self.B1), (self.A0, self.A1) = self.coefficients(np.array([0.0, model.p_inf]))
         self.edges = n.age.nodes
-        self.cells = None  # threshold cells of the step-kind rates once they are set
-        self.N = None  # N of the field at the set rates, from `flux` on
+        self.nbar = self.suffix = None  # formed by the step-kind `activity`
         self.steps, self.loaded = 0, False
+
+    def coefficients(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """B = lam - h r and A = B + 1 - 2 lam, clamped at 0 against round-off: B >= 0 as
+        ds p_inf <= 2, and A >= 0 under the positivity check."""
+        B = np.maximum(self.lam - rates * self.h, 0.0)
+        return B, np.maximum(B + (1.0 - 2.0 * self.lam), 0.0)
 
     def activity(self, S: np.ndarray) -> np.ndarray:
         """N = ds sum_i r_i(S) nbar_i of the field, one value per x.
 
-        For the step kind every interval above the cell k holding sigma(S)
-        fires at p_inf, so N = ds p_inf (C_{k+1} + frac_k nbar_k) costs O(nx).
+        For the step kind every interval above the cell k holding sigma(S) fires at
+        p_inf, so with the suffix sums C_k of nbar, formed once per field, N = ds p_inf
+        (C_{k+1} + frac_k nbar_k) costs O(nx) per trial.  The smooth kind sums the zones.
         """
         model, ds = self.model, self.age.ds
+        if model.kind != "step":
+            return self.flux(S)
+        if self.suffix is None:  # C_{ns-1} = 0
+            self.nbar, self.suffix = np.empty_like(self.values[1:]), np.zeros(self.values.shape)
         if not self.loaded:  # nbar and the suffix sums of the current field
             np.add(self.values[1:], self.values[:-1], out=self.nbar)
             self.nbar *= 0.5
-            if model.kind == "step":
-                np.cumsum(self.nbar[::-1], axis=0, out=self.suffix[-2::-1])
+            np.cumsum(self.nbar[::-1], axis=0, out=self.suffix[-2::-1])
             self.loaded = True
-        if model.kind != "step":
-            rates = model.interval_rates(self.age, S)
-            return self.widths @ np.multiply(rates, self.nbar, out=rates)
         sig = model.sigma(S)
         k = self.threshold_cell(sig)
         frac = np.minimum(1.0, np.maximum(0.0, (self.edges[k + 1] - sig) / ds))
@@ -224,73 +230,63 @@ class Stepper:
         return np.minimum(len(self.edges) - 2, np.maximum(0, k))
 
     def set_rates(self, S: np.ndarray) -> None:
-        """The rates r at S and the coefficients B = lam - h r, A = B + 1 - 2 lam, clamped at 0;
-        after a first full step-kind fill only rows min(k_old, k) .. max(k_old, k) + 1 change,
-        and N of `flux` takes their change (ds/2) sum (r - r_old)(n_{i-1} + n_i)."""
-        model, lam, h, ds, top = self.model, self.lam, self.h, self.age.ds, self.age.ns - 2
+        """The band [lo, hi) at S, its `rates` and `coefficients` B and A, and the field's
+        largest rate `r_max`.  Rows below the cell where the rate leaves 0 (at sigma, or
+        min(sigma, s_star) for the smooth kind) end at or below it; rows from the second
+        cell above the one where it reaches p_inf (sigma, or sigma + theta) fire at p_inf,
+        as one ulp below an edge the cell above the threshold cell can fire below p_inf.
+        A NaN threshold gives NaN rates on every row."""
+        model, top = self.model, self.age.ns - 1
         sig = model.sigma(S)
-        k = self.threshold_cell(sig) if model.kind == "step" else None
-        if self.cells is None:
-            model.interval_rates(self.age, S, out=self.rates)
-            np.subtract(lam, np.multiply(self.rates, h, out=self.B), out=self.B)
-            np.maximum(self.B, 0.0, out=self.B)
-            np.maximum(np.add(self.B, 1.0 - 2.0 * lam, out=self.A), 0.0, out=self.A)
-            self.N = None
-        else:
-            lo = np.minimum(k, self.cells)
-            band = lo + np.arange(int((np.maximum(k, self.cells) - lo).max()) + 2)[:, None]
-            rows = np.minimum(band, top)  # rows past the top repeat it: their change counts once
-            nx = len(k)
-            at = rows * nx + np.arange(nx)  # flat index into values, rates, A and B alike
-            r = np.minimum(1.0, np.maximum(0.0, (self.edges[rows + 1] - sig) / ds)) * model.p_inf
-            if self.N is not None:
-                change = np.where(band <= top, r - self.rates.take(at), 0.0)
-                change *= self.values.take(at) + self.values.take(at + nx)
-                N = self.N + 0.5 * ds * change.sum(axis=0)
-                # a band that takes more than half of N leaves cancellation: form N afresh
-                self.N = N if (N >= 0.5 * self.N).all() else None
-            self.rates.put(at, r)
-            self.B.put(at, b := np.maximum(lam - r * h, 0.0))
-            self.A.put(at, np.maximum(b + (1.0 - 2.0 * lam), 0.0))
-        self.cells = k
+        zero, full = ((sig, sig) if model.kind == "step"
+                      else (np.minimum(sig, model.s_star), sig + model.theta))
+        self.lo = 0 if np.isnan(sig).any() else int(self.threshold_cell(zero.min()))
+        self.hi = min(int(self.threshold_cell(full.max())) + 2, top)
+        self.rates = model.interval_rates(self.age, S, self.lo, self.hi)
+        self.B, self.A = self.coefficients(self.rates)
+        self.r_max = model.p_inf if self.hi < top else float(self.rates.max())
 
-    def flux(self) -> np.ndarray:
-        """N = ds sum_i r_i nbar_i of the field at the set rates, from the bottom block up."""
-        v, total = self.values, np.zeros(self.values.shape[1])
-        for a in range(0, len(self.rates), BLOCK_ROWS):
-            b = min(a + BLOCK_ROWS, len(self.rates))
-            scratch = np.add(v[a:b], v[a + 1 : b + 1], out=self.nbar[: b - a])
-            scratch *= self.rates[a:b]
-            total += self.widths[: b - a] @ scratch
-        self.loaded, self.N = False, 0.5 * total
-        return self.N
+    def flux(self, S: np.ndarray | None = None) -> np.ndarray:
+        """N = ds sum_i r_i nbar_i of the field at the zones set at S, or last set: the
+        band's product plus p_inf (2 T + v_hi + v_{ns-1}) over the top zone, with
+        T = ones @ v[hi+1:-1] one column sum.  Every term is nonnegative: nothing cancels."""
+        if S is not None:
+            self.set_rates(S)
+        v, lo, hi = self.values, self.lo, self.hi
+        total = self.ones[: hi - lo] @ (self.rates * (v[lo:hi] + v[lo + 1 : hi + 1]))
+        if hi < len(v) - 1:
+            total += self.model.p_inf * (2.0 * (self.ones[hi + 2 :] @ v[hi + 1 : -1])
+                                         + v[hi] + v[-1])
+        return 0.5 * self.age.ds * total
 
     def advance(self, S: np.ndarray) -> np.ndarray:
         """One step of the field at stimulation S, in place; returns the injected N.
 
         new_i = A_i v_i + B_i v_{i-1} is v_i - lam (v_i - v_{i-1}) - (dt/eps) r_i nbar_i,
         so lam = 1 with r = 0 (A = 0, B = 1) shifts exactly.  The absorbing row, (A + B) v
-        + 2 B v_{ns-2}, goes first, then the blocks from the top: row i reads the old v_{i-1}.
+        + 2 B v_{ns-2}, goes first, then each zone's blocks from the top: row i reads the
+        old v_{i-1}.
         """
         self.set_rates(S)
-        lam, v, A, B = self.lam, self.values, self.A, self.B
-        # step-kind columns are non-decreasing in age: the last row holds the maximum
-        r_max = float((self.rates[-1] if self.model.kind == "step" else self.rates).max())
-        if (bound := lam + self.h * r_max) > 1 + 1e-12:
+        lam, v, lo, hi, top = self.lam, self.values, self.lo, self.hi, self.age.ns - 2
+        if (bound := lam + self.h * self.r_max) > 1 + 1e-12:
             raise CFLError(f"positivity bound violated: dt/(eps*ds) + dt*r_max/(2*eps) = "
-                           f"{bound:.6g} > 1 (max rate {r_max:.6g})")
-        if (N := self.N) is None:
-            N = self.activity(S) if self.loaded and self.model.kind == "step" else self.flux()
-        v[-1] = (A[-1] + B[-1]) * v[-1] + 2.0 * B[-1] * v[-2]
+                           f"{bound:.6g} > 1 (max rate {self.r_max:.6g})")
+        N = self.activity(S) if self.loaded else self.flux()  # the suffix sums when formed
+        A, B = (self.A1, self.B1) if hi <= top else (self.A[-1], self.B[-1])
+        v[-1] = (A + B) * v[-1] + 2.0 * B * v[-2]
         low = np.minimum(N.min(), v[-1].min())  # np.minimum, unlike min(), keeps a NaN
-        for a in reversed(range(0, len(v) - 2, BLOCK_ROWS)):
-            b = min(a + BLOCK_ROWS, len(v) - 2)
-            scratch = np.multiply(B[a:b], v[a:b], out=self.nbar[: b - a])
-            v[a + 1 : b + 1] *= A[a:b]
-            v[a + 1 : b + 1] += scratch
-            low = np.minimum(low, v[a + 1 : b + 1].min())
+        for z0, z1, A, B in ((hi, top, self.A1, self.B1), (lo, min(hi, top), self.A, self.B),
+                             (0, lo, self.A0, self.B0)):
+            for a in reversed(range(z0, z1, BLOCK_ROWS)):
+                b = min(a + BLOCK_ROWS, z1)
+                Ab, Bb = (A[a - z0 : b - z0], B[a - z0 : b - z0]) if np.ndim(A) else (A, B)
+                scratch = np.multiply(Bb, v[a:b], out=self.scratch[: b - a])
+                v[a + 1 : b + 1] *= Ab
+                v[a + 1 : b + 1] += scratch
+                low = np.minimum(low, v[a + 1 : b + 1].min())
         v[0] = N
-        self.N, self.loaded = None, False
+        self.loaded = False
         self.steps += 1
         if not low >= NEGATIVE_SENTINEL:  # NaN fails this comparison too
             raise NegativeDensityError(
@@ -370,7 +366,9 @@ def nonlinear_steps(
     opts = cfg.picard
 
     def coupling(S_trial: np.ndarray) -> np.ndarray:  # S = integral(w N(n, S)) + I
-        return w @ (xw * stepper.activity(S_trial)) + I_vals
+        # a lagged run sums the zones: only iterate mode forms the suffix sums
+        N = stepper.activity(S_trial) if opts.mode == "iterate" else stepper.flux(S_trial)
+        return w @ (xw * N) + I_vals
 
     def solve_coupling(S_start: np.ndarray, step: int) -> np.ndarray:
         result = damped_fixed_point(coupling, S_start, opts.tol, opts.max_iters, opts.damping)
@@ -382,15 +380,14 @@ def nonlinear_steps(
 
     # the initial stimulation solves the coupling on n0
     S = solve_coupling(I_vals, 0)
-    stepper.set_rates(S)
-    N = stepper.flux()
+    N = stepper.flux(S)
     recorder.save(0, N, S, age.integrate(stepper.values), w)
     yield 0.0, stepper.values, N, S
 
     for step in range(1, recorder.n_steps + 1):
         # (i)-(ii): stimulation coupling on the pre-step field
         if opts.mode == "lagged":
-            # the buffered rates are those of the last transport step, at this S
+            # the zones are those the last transport step set, at this S
             S = w @ (xw * stepper.flux()) + I_vals
         else:
             S = solve_coupling(S, step)
@@ -628,6 +625,9 @@ def large_input_run(
     sample_steps = [whole_steps(ts, cfg.dt, field="sample_times") for ts in sample_times]
     cfg.validate(n0.age, model)  # the step sizes before the t_end grid, as in nonlinear_run
     recorders = [Recorder(n0.space, cfg.dt, t_end, save_every=t_end) for _ in (0, *ks)]
+    if not all(0 <= step <= recorders[0].n_steps for step in sample_steps):
+        raise GridError(f"sample_times {sample_times} must lie in [0, t_end = {t_end}]",
+                        field="sample_times")
     w_zero = ConnectivityKernel(np.zeros_like(w0.values), w0.space)
     runs = [nonlinear_steps(n0, w_zero, model.limit_model(), LearningRule(rule.kind, 0.0),
                             input_model, cfg, recorders[0])]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,14 @@ class TestLearningRule:
         rule = LearningRule("hebbian", gamma=1.0)
         with pytest.warns(UserWarning):
             rule.warn_if_unnormalized(2.0)
+
+    @pytest.mark.parametrize("gamma, warns", [(0.0, False), (1e-300, True), (0.5, True)])
+    def test_unnormalized_warning_needs_a_gain(self, gamma, warns):
+        # a rule of gain 0 never moves the kernel, however large G grows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            LearningRule("hebbian", gamma=gamma).warn_if_unnormalized(2.0)
+        assert len(caught) == warns
 
     def test_invalid(self):
         with pytest.raises(ModelError):

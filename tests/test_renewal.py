@@ -455,6 +455,15 @@ class TestLargeInput:
             large_input_run([1.0, 10.0], n0, w0, model, rule, I, cfg, t_end=t_end,
                             sample_times=(t_end / 2, t_end))
 
+    @pytest.mark.parametrize("step", [-1, 41, 80])
+    def test_rejects_sample_time_outside_the_run(self, step):
+        n0, w0, model, rule, I, cfg = self._setup("bounded", 2.0, "constant")
+        t_end = 40 * cfg.dt
+        with pytest.raises(GridError, match="sample_times .* must lie in") as caught:
+            large_input_run([1.0, 10.0], n0, w0, model, rule, I, cfg, t_end=t_end,
+                            sample_times=(t_end / 2, step * cfg.dt))
+        assert caught.value.field == "sample_times"
+
     def test_distance_decreases_with_k(self):
         n0, w0, model, rule, I, cfg = self._setup("bounded", 2.0, "sin_squared")
         with warnings.catch_warnings():
@@ -493,16 +502,17 @@ def test_run_warnings_point_at_the_caller():
     w0, rule = ConnectivityKernel.constant(space, 0.5), LearningRule("hebbian", 0.5)
     model, I = step_model(sigma_kind="bounded", sigma_max=1.0), InputModel("constant", 1.0)
     cfg = SolverConfig(dt=age.ds / 2)
-    for runs, call, where in [
-        (1, lambda: nonlinear_run(n0, w0, model, rule, I, cfg, t_end=0.5), "test_renewal.py"),
-        (2, lambda: epsilon_study((1.0, 0.5), n0, w0, model, rule, I, T=0.5), "limit.py"),
-        (3, lambda: large_input_run([1.0, 2.0], n0, w0, model, rule, I, cfg, t_end=0.5),
+    # the large-input study's frozen-rate limit run has gain 0, so its rule never warns
+    for rules, runs, call, where in [
+        (1, 1, lambda: nonlinear_run(n0, w0, model, rule, I, cfg, t_end=0.5), "test_renewal.py"),
+        (2, 2, lambda: epsilon_study((1.0, 0.5), n0, w0, model, rule, I, T=0.5), "limit.py"),
+        (2, 3, lambda: large_input_run([1.0, 2.0], n0, w0, model, rule, I, cfg, t_end=0.5),
          "test_renewal.py"),
     ]:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             call()
         texts = [str(w.message) for w in caught]
-        assert sum(t.startswith("learning rule") for t in texts) == runs, texts
+        assert sum(t.startswith("learning rule") for t in texts) == rules, texts
         assert sum(t.startswith("absorbing-node mass") for t in texts) == runs, texts
         assert {os.path.basename(w.filename) for w in caught} == {where}

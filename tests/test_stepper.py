@@ -1,7 +1,10 @@
-"""The upwind Stepper: its O(nx) step-rate activity, its band updates of the
-step-rate array, update coefficients and lagged discharge integral, its sweeps
-in row blocks, mass conservation over random inputs, NaN detection, and
-agreement, to round-off, with the per-step loop it replaced."""
+"""The upwind Stepper: its O(nx) step-rate activity, its zones of constant rate
+and the band between them against full-field rates and coefficients, its lagged
+discharge integral and memory, its sweeps in row blocks, mass conservation over
+random inputs, NaN detection, and agreement, to round-off, with the per-step
+loop it replaced."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,33 +89,72 @@ def test_fast_activity_matches_interval_quadrature(data):
     np.testing.assert_array_equal(stepper.activity(S), fast)
 
 
+def _full_arrays(stepper):
+    """The field-size rates, B and A that a Stepper's zones stand for: the scalars below
+    `lo` and from `hi` on, the band's arrays between."""
+    rows, nx = stepper.age.ns - 1, stepper.values.shape[1]
+    arrays = []
+    for below, band, above in ((0.0, stepper.rates, stepper.model.p_inf),
+                               (stepper.B0, stepper.B, stepper.B1),
+                               (stepper.A0, stepper.A, stepper.A1)):
+        full = np.empty((rows, nx))
+        full[: stepper.lo], full[stepper.lo : stepper.hi], full[stepper.hi :] = below, band, above
+        arrays.append(full)
+    return arrays
+
+
+def assert_zones_rebuild_the_full_fill(stepper, S):
+    """Bit for bit against fresh field-size arrays, NaN included; a rate of -0.0, a
+    subnormal threshold's underflow, counts as 0.0, as it leaves B and A unchanged."""
+    model, age = stepper.model, stepper.age
+    rates = model.interval_rates(age, S)
+    B = np.maximum(stepper.lam - rates * stepper.h, 0.0)
+    A = np.maximum(B + (1.0 - 2.0 * stepper.lam), 0.0)
+    for got, ref in zip(_full_arrays(stepper), (rates, B, A)):
+        assert (got + 0.0).tobytes() == (ref + 0.0).tobytes()
+    # the positivity guard reads the largest rate of the field
+    np.testing.assert_array_equal(stepper.r_max, rates.max())
+
+
+def rate_models(age: AgeGrid):
+    """Step and smooth rates with ds * p_inf <= 2, the stepper's coarse-grid bound."""
+    p_inf = DS_RATE.map(lambda x: x / age.ds)
+    step = st.builds(FiringRateModel, kind=st.just("step"), p_inf=p_inf, sigma=sigma_maps(age))
+    smooth = st.tuples(p_inf, st.floats(0.0, 1.0), sigma_maps(age),
+                       st.floats(-1.0, age.s_max + 1.0), st.floats(1e-3, 2.0 * age.s_max)).map(
+        lambda a: FiringRateModel(kind="smooth", p_inf=a[0], p_star=a[1] * a[0], sigma=a[2],
+                                  s_star=a[3], theta=a[4]))
+    return st.one_of(step, smooth)
+
+
 @settings(deadline=None)
 @given(data=st.data())
-def test_band_update_matches_full_fill(data):
+def test_zones_rebuild_the_full_rates_and_coefficients(data):
     n = data.draw(grids())
     age, nx = n.age, n.space.nx
-    model = FiringRateModel(kind="step", p_inf=data.draw(DS_RATE) / age.ds,
-                            sigma=data.draw(sigma_maps(age)))
-    stepper = Stepper(n, model, SolverConfig(dt=age.ds / 2))
+    model = data.draw(rate_models(age))
+    # lam = dt/ds anywhere in (0, 1], not only 1/2, where 1 - 2 lam is exact
+    dt = data.draw(st.floats(0.05, 1.0)) * min(age.ds, 1.0 / model.p_inf)
+    stepper = Stepper(n, model, SolverConfig(dt=dt))
     S = None
     for _ in range(data.draw(st.integers(1, 12))):
         if S is None or data.draw(st.booleans()):  # anywhere: jumps of many cells
-            S = np.array(data.draw(st.lists(st.one_of(stimulation(age), just_below_edges(age)),
+            S = np.array(data.draw(st.lists(st.one_of(stimulation(age), just_below_edges(age),
+                                                      st.just(np.nan)),
                                             min_size=nx, max_size=nx)))
         else:  # the threshold moves by at most two cells
             S = S + age.ds * np.array(data.draw(st.lists(st.floats(-2.0, 2.0),
                                                          min_size=nx, max_size=nx)))
         stepper.set_rates(S)
-        rates = model.interval_rates(age, S)
-        np.testing.assert_array_equal(stepper.rates, rates)
-        B = np.maximum(stepper.lam - rates * stepper.h, 0.0)
-        np.testing.assert_array_equal(stepper.B, B)
-        np.testing.assert_array_equal(stepper.A, B + (1.0 - 2.0 * stepper.lam))
-        # the positivity guard reads the maximum off the last row; where it
-        # passes, both coefficients are nonnegative
-        assert stepper.rates[-1].max() == stepper.rates.max()
-        assert stepper.lam + stepper.h * rates.max() <= 1 + 1e-12
-        assert stepper.A.min() >= 0.0 and stepper.B.min() >= 0.0
+        assert_zones_rebuild_the_full_fill(stepper, S)
+        if model.kind == "step" and not np.isnan(S).any():
+            # the band: the threshold cells and the cell above the highest
+            cells = stepper.threshold_cell(model.sigma(S))
+            assert (stepper.lo, stepper.hi) == (cells.min(), min(cells.max() + 2, age.ns - 1))
+        # where the positivity guard passes, both coefficients are nonnegative
+        if stepper.lam + stepper.h * stepper.r_max <= 1 + 1e-12:
+            assert min(stepper.A0, stepper.A1, stepper.A.min()) >= 0.0
+            assert min(stepper.B0, stepper.B1, stepper.B.min()) >= 0.0
 
 
 @settings(deadline=None)
@@ -154,13 +196,11 @@ def test_band_covers_the_cell_above_the_threshold_cell(ns, s_max):
     short = 0
     for k, edge in enumerate(age.nodes[1:-1]):
         S = np.array([np.nextafter(edge, -np.inf)])
-        full = model.interval_rates(age, S)
-        short += full[k + 1, 0] < 1.0
-        for start in (0.0, S[0] - age.ds):  # from far below, and from the next cell down
-            stepper = Stepper(n, model, SolverConfig(dt=age.ds / 2))
-            stepper.set_rates(np.array([start]))
-            stepper.set_rates(S)
-            np.testing.assert_array_equal(stepper.rates, full)
+        short += model.interval_rates(age, S)[k + 1, 0] < 1.0
+        stepper = Stepper(n, model, SolverConfig(dt=age.ds / 2))
+        stepper.set_rates(S)
+        assert (stepper.lo, stepper.hi) == (k, min(k + 2, ns - 1))
+        assert_zones_rebuild_the_full_fill(stepper, S)
     assert short > 0
 
 
@@ -241,44 +281,76 @@ def test_nan_in_a_later_block_raises(row):
         stepper.advance(S)
 
 
-def test_band_change_counts_the_top_cell_once():
-    # sigma moves inside the top cell: the band's second row is clipped onto the first
+def test_flux_counts_the_top_rows_once():
+    # the band reaches the top row (sigma in the top two cells, or past s_max) or leaves
+    # one row above it, where the top zone's column sum is empty and its end terms remain
     age, space = AgeGrid(ns=10, s_max=10.0), SpatialGrid(nx=1)  # the top cell is [8, 9]
     n = DensityField.from_function(age, space, lambda s, x: 1.0 + s + 0 * x)
     model = FiringRateModel(kind="step", p_inf=1.0, sigma=SigmaMap("identity"))
     stepper = Stepper(n, model, SolverConfig(dt=age.ds / 2))
-    stepper.set_rates(np.array([8.2]))
-    stepper.flux()
-    stepper.set_rates(np.array([8.3]))
     nbar = 0.5 * (n.values[1:] + n.values[:-1])
-    ref = age.ds * np.sum(model.interval_rates(age, np.array([8.3])) * nbar, axis=0)
-    assert stepper.N is not None  # taken from the band's change, not formed afresh
-    np.testing.assert_allclose(stepper.N, ref, rtol=1e-14)
+    for sigma, hi in [(6.5, 8), (7.5, 9), (8.2, 9), (8.3, 9), (9.0, 9), (12.0, 9)]:
+        S = np.array([sigma])
+        ref = age.ds * np.sum(model.interval_rates(age, S) * nbar, axis=0)
+        np.testing.assert_allclose(stepper.flux(S), ref, rtol=1e-14)
+        assert stepper.hi == hi
 
 
 def test_iterate_mode_forms_nbar_once_per_step(monkeypatch):
     # the coupling solve forms nbar and the suffix sums; the step's own N reuses them,
-    # with no second pass over the field (a reload or a product in `flux`)
-    loads, fluxes = [], []
-    activity, flux = Stepper.activity, Stepper.flux
+    # with no second pass over the field (a reload or a sum over the zones in `flux`)
+    loads, fluxes, in_advance = [], [], []
+    activity, flux, advance = Stepper.activity, Stepper.flux, Stepper.advance
 
     def counting_activity(self, S):
         loads.append(not self.loaded)
         return activity(self, S)
 
-    def counting_flux(self):
+    def counting_flux(self, S=None):
         fluxes.append(self.steps)
-        return flux(self)
+        return flux(self, S)
+
+    def counting_advance(self, S):
+        start = len(loads)
+        N = advance(self, S)
+        in_advance.append(loads[start:])
+        return N
 
     monkeypatch.setattr(Stepper, "activity", counting_activity)
     monkeypatch.setattr(Stepper, "flux", counting_flux)
+    monkeypatch.setattr(Stepper, "advance", counting_advance)
     n0, w0, input_model = _small_problem()
     model = FiringRateModel(kind="step", p_inf=1.0, sigma=SigmaMap("identity"))
     cfg = SolverConfig(dt=n0.age.ds / 2, picard=PicardOptions(mode="iterate"))
     nonlinear_run(n0, w0, model, LearningRule("hebbian", 1.0), input_model, cfg,
                   t_end=10 * cfg.dt)
-    assert sum(loads) == 11 and len(loads) > 2 * 11
+    # once per field: the initial solve and the first step's share n0, as `flux` spends
+    # no nbar
+    assert sum(loads) == 10 and len(loads) > 2 * 11
     assert fluxes == [0]  # the initial N only
+    # each step's N is one more trial of the loaded sums
+    assert in_advance == [[False]] * 10
+
+
+def test_lagged_run_allocates_no_second_field():
+    # the zones hold scalars and the band's rows; the sweeps use one block of scratch, so
+    # `values` is the one field-size buffer, and `activity`'s sums are never formed
+    age, space = AgeGrid(ns=4 * BLOCK_ROWS + 1, s_max=40.0), SpatialGrid(nx=32)
+    n0 = DensityField.from_function(age, space, lambda s, x: np.exp(-s) * (1 + x))
+    n0.normalize_mass(0.5)  # the Hebbian rule stays below 1
+    w0 = ConnectivityKernel.from_function(space, lambda x, y: 0.5 + 0 * x * y)
+    model = FiringRateModel(kind="step", p_inf=1.0, sigma=SigmaMap("identity"))
+    cfg = SolverConfig(dt=age.ds / 2)
+    field = n0.values.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        nonlinear_run(n0, w0, model, LearningRule("hebbian", 0.5),
+                      InputModel("constant", amplitude=1.0), cfg, t_end=20 * cfg.dt)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert field < peak < 2 * field, (peak, field)
 
 
 @settings(deadline=None)
@@ -323,18 +395,20 @@ def _reference_lagged_step(v, S_old, S, model, age, lam, h):
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_blocked_lagged_steps_match_full_products(data):
-    """k lagged steps of the Stepper (one blocked product at the old rates, the band's
-    change of rates added, the transport in blocks from the top) against fresh arrays.
+    """k lagged steps of the Stepper (N from the band's product plus p_inf times one
+    column sum over the top zone, the transport zone by zone in blocks from the top)
+    against fresh arrays.
 
-    Per step both sides sum n = ns - 1 nonnegative terms r_i nbar_i ds, each formed in
-    at most 3 roundings, in different orders; a sum of n terms in any order errs by at
-    most (n - 1) u times the sum of the terms (u = eps/2), so each side's N_lag is within
-    (n + 2) u N_lag of the exact one.  The band's change, sum (r - r_old)(n_{i-1} + n_i)
-    ds/2, takes at most 3 roundings per term, (n - 1) u for its sum and one for adding
-    it to N_lag, on terms whose magnitudes sum to at most N_lag + N as the rates are
-    nonnegative.  So |N - N_ref| <= (2n + 7) u (N_lag + N) <= (n + 4) eps (N_lag + N).
+    The reference sums n = ns - 1 nonnegative terms r_i nbar_i ds, each formed in at
+    most 3 roundings; a sum of n terms in any order errs by at most (n - 1) u times the
+    sum of the terms (u = eps/2), so its N is within (n + 2) u N of the exact one.  The
+    Stepper forms the band's terms r_i (n_{i-1} + n_i) in 2 roundings each and the top
+    zone's 2 T + n_hi + n_{ns-1}, T a column sum, from nonnegative values only, then
+    adds the two parts and scales them by ds/2: within (n + 5) u N, as nothing cancels.
+    So |N - N_ref| <= (2n + 7) u N <= (n + 4) eps (N_lag + N), and N_lag likewise.
     The update A_i v_i + B_i v_{i-1} is the same expression on both sides, with the
-    same A and B (`test_band_update_matches_full_fill`), so rows 1.. agree exactly.
+    same A and B (`test_zones_rebuild_the_full_rates_and_coefficients`), so rows 1..
+    agree exactly.
     """
     nrows = data.draw(st.one_of(st.integers(2, 40), st.sampled_from(
         [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 37])))
