@@ -236,15 +236,15 @@ class Stepper:
         cell above the one where it reaches p_inf (sigma, or sigma + theta) fire at p_inf,
         as one ulp below an edge the cell above the threshold cell can fire below p_inf.
         A NaN threshold gives NaN rates on every row."""
-        model, top = self.model, self.age.ns - 1
+        model, rows = self.model, self.age.ns - 1
         sig = model.sigma(S)
         zero, full = ((sig, sig) if model.kind == "step"
                       else (np.minimum(sig, model.s_star), sig + model.theta))
         self.lo = 0 if np.isnan(sig).any() else int(self.threshold_cell(zero.min()))
-        self.hi = min(int(self.threshold_cell(full.max())) + 2, top)
+        self.hi = min(int(self.threshold_cell(full.max())) + 2, rows)
         self.rates = model.interval_rates(self.age, S, self.lo, self.hi)
         self.B, self.A = self.coefficients(self.rates)
-        self.r_max = model.p_inf if self.hi < top else float(self.rates.max())
+        self.r_max = model.p_inf if self.hi < rows else float(self.rates.max())
 
     def flux(self, S: np.ndarray | None = None) -> np.ndarray:
         """N = ds sum_i r_i nbar_i of the field at the zones set at S, or last set: the
@@ -387,7 +387,7 @@ def nonlinear_steps(
     for step in range(1, recorder.n_steps + 1):
         # (i)-(ii): stimulation coupling on the pre-step field
         if opts.mode == "lagged":
-            # the zones are those the last transport step set, at this S
+            # the zones are those the last transport step set
             S = w @ (xw * stepper.flux()) + I_vals
         else:
             S = solve_coupling(S, step)
