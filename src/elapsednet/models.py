@@ -143,7 +143,8 @@ class FiringRateModel:
         the staircase dependence of the activity on sigma.
         """
         sig = np.asarray(self.sigma(S), dtype=float)
-        edges = (age.nodes[:, None] if sig.ndim else age.nodes)[lo : None if hi is None else hi + 1]
+        nodes = np.arange(lo, age.ns if hi is None else hi + 1) * age.ds  # s_lo..s_hi only
+        edges = nodes[:, None] if sig.ndim else nodes
         if self.kind == "step":
             out = np.divide(np.subtract(edges[1:], sig), age.ds)
             np.minimum(1.0, np.maximum(0.0, out, out=out), out=out)

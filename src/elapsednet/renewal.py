@@ -431,13 +431,17 @@ def characteristics_oracle(
     N(t - s) exp(-hazard(s)) closes a renewal equation for the boundary
     activity, marched forward by product integration with exact kernel
     masses (see `_oracle_window`).  The survivors' share of the boundary
-    activity is one correlation per column over all lags, rescaled blockwise
-    so that no exponential of the hazard overflows or underflows to 0/0.
+    activity is a correlation over all lags, formed by blocked real FFTs
+    (see `_survivor_sum`).
 
     The oracle never touches the upwind stepping; it is the independent
     reference for convergence tests.
     """
     age, space = n0.age, n0.space
+    if not (isinstance(refine, (int, np.integer)) and refine >= 1):
+        raise GridError(f"refine must be an integer of at least 1, got {refine!r}", field="refine")
+    if not (np.isfinite(t) and t >= 0.0):
+        raise GridError(f"t must be finite and at least 0, got {t!r}", field="t")
     S = np.asarray(S, dtype=float)
     if S.shape != (space.nx,):
         raise GridError(f"stimulation shape {S.shape} does not match grid ({space.nx},)")
@@ -511,15 +515,9 @@ def _oracle_window(
     return new
 
 
-# exp(+-EXP_SPAN) stays far inside the double range
-EXP_SPAN = 300.0
-
-
-def _aligned_empty(rows: int, cols: int) -> np.ndarray:
-    """An empty C-contiguous (rows, cols) array that starts on a 64-byte boundary."""
-    raw = np.empty(rows * cols + 8)
-    start = (-raw.ctypes.data % 64) // 8
-    return raw[start : start + rows * cols].reshape(rows, cols)
+# the log-factor by which a survivor-sum block lets the hazard rise and the rate grow:
+# FFT round-off then stays within about 1e-14 of the largest Q_k
+EXP_SPAN = 2.0
 
 
 def _survivor_sum(
@@ -532,46 +530,47 @@ def _survivor_sum(
 ) -> np.ndarray:
     """Survivor part Q(tau_k) = int p(s) n_a(s - tau_k) e^{H(s - tau_k) - H(s)} ds, k = 0..m.
 
-    With trapezoid weights w_i, Q_k = sum_j A_{j+k} B_j is a correlation of
-    A = w p e^{H_ref - H} with B = n_a e^{H - H_ref}: one `np.correlate` per
-    column gives every lag.  H rises by at most p_inf * delta per node, so
-    blocks of source rows j, each with H_ref taken at its first row, keep
-    both factors within exp(+-EXP_SPAN).  The integrand starts at s = tau_k,
-    so its first sample gets trapezoid half-weight.
+    With trapezoid weights w_i, Q_k = sum_j A_{j+k} B_j correlates
+    A = w p e^{H_ref - H} with B = n_a e^{H - H_ref}.  A block of source rows
+    j0..j1-1, with H_ref at its middle row, gives every lag and column from
+    one zero-padded real-FFT product.  Round-off of its products at lags past
+    kmax or below 0 reaches every lag, so a block spans a hazard rise of at
+    most EXP_SPAN (p_inf * delta per node) and ends before the rate, which
+    does not fall with age, passes e^EXP_SPAN p_{j0 + kmax}.  The row j = 0
+    has trapezoid half-weight (the integrand starts at s = tau_k) and is
+    added directly; only it reaches the last node, over a length-0 interval.
+    Q sums nonnegative terms, so FFT residue below 0 is clamped.
     """
     fine_ns, nx = n_a.shape
     kmax = min(m, fine_ns - 1)  # lags k >= fine_ns see no surviving mass
     rise = p_inf * delta
-    if rise * (fine_ns + kmax) <= EXP_SPAN:
-        block = fine_ns
-    else:
-        block = max(1, int(EXP_SPAN / rise) - kmax)
+    span = fine_ns if rise * fine_ns <= EXP_SPAN else max(1, int(EXP_SPAN / rise))
+    fft = np.fft  # loaded on first use, not at import
     Q = np.zeros((m + 1, nx))
-    for j0 in range(0, fine_ns, block):
-        j1 = min(j0 + block, fine_ns)
+    j0 = 0
+    while j0 < fine_ns:
+        j1 = min(j0 + span, fine_ns)
+        i0 = min(j0 + kmax, fine_ns - 1)
+        grown = (p_nodes[i0 : j1 + kmax] > np.exp(EXP_SPAN) * p_nodes[i0]).any(axis=1)
+        if grown.any():
+            j1 = j0 + int(grown.argmax())
         i1 = min(j1 + kmax, fine_ns)
-        h_ref = hazard[j0]
-        A = np.zeros((nx, j1 - j0 + kmax))  # zero past the last node
-        a = A[:, : i1 - j0].T
-        np.exp(np.subtract(h_ref, hazard[j0:i1], out=a), out=a)
-        a *= p_nodes[j0:i1]
-        a *= delta
-        if j0 == 0:
-            a[0] *= 0.5
+        h_ref = hazard[(j0 + j1 - 1) // 2]
+        A = np.exp(h_ref - hazard[j0:i1]) * p_nodes[j0:i1] * delta
         if i1 == fine_ns:
-            a[-1] *= 0.5
-        # np.correlate runs ~25% slower when its second operand is not 64-byte aligned:
-        # rows padded to a multiple of 8 doubles each start on a 64-byte boundary
-        B = _aligned_empty(nx, -(-(j1 - j0) // 8) * 8)[:, : j1 - j0]
-        np.subtract(hazard[j0:j1].T, h_ref[:, None], out=B)
-        np.exp(B, out=B)
-        B *= n_a[j0:j1].T
-        for ix in range(nx):
-            Q[: kmax + 1, ix] += np.correlate(A[ix], B[ix], "valid")
-    # in the order A_k B_0 is formed, so the last lag cancels exactly
-    k = np.arange(1, kmax + 1)
-    Q[k] -= np.exp(hazard[0] - hazard[k]) * p_nodes[k] * delta * 0.5 * n_a[0]
-    return Q
+            A[-1] *= 0.5
+        B = np.exp(hazard[j0:j1] - h_ref) * n_a[j0:j1]
+        if j0 == 0:  # the half-weight row j = 0, added directly
+            Q[: kmax + 1] += A[: kmax + 1] * (0.5 * B[0])
+            B[0] = 0.0
+        n = j1 - j0 + kmax  # lags past kmax and below 0 wrap onto each other only
+        q = 1 << max(0, n.bit_length() - 4)
+        n = -(-n // q) * q  # 8 to 16 times a power of 2: a fast FFT length
+        product = fft.rfft(A, n, axis=0) * fft.rfft(B, n, axis=0).conj()
+        Q[: kmax + 1] += fft.irfft(product, n, axis=0)[: kmax + 1]
+        j0 = j1
+    Q[fine_ns - 1 :] = 0.0  # reached by j = 0 only, over a length-0 interval
+    return np.maximum(Q, 0.0, out=Q)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from elapsednet.grids import AgeGrid, DensityField, SpatialGrid
 from elapsednet.models import (MAX_RAMP_REFINE, RAMP_INTERVALS, FiringRateModel, ModelError,
                                SigmaMap, survival_F)
 from elapsednet.presets import get_preset
-from elapsednet.renewal import _aligned_empty, _survivor_sum, characteristics_oracle
+from elapsednet.renewal import _survivor_sum, characteristics_oracle
 
 
 def shifted_copy_sum(n_a, hazard, p_nodes, delta, m):
@@ -59,7 +59,7 @@ def survivor_cases(draw):
     fine_ns, nx = draw(st.integers(2, 120)), draw(st.integers(1, 3))
     s_max = draw(st.floats(0.5, 10.0))
     # the reference divides exp(-H); p_inf * s_max <= 700 keeps it normal,
-    # and above 300 the correlation runs in several rescaled blocks
+    # and above 2 the sum runs in several rescaled blocks
     p_inf = draw(st.floats(0.0, 700.0, exclude_min=True, allow_subnormal=False)) / s_max
     model = draw(rate_models(p_inf))
     S = np.array(draw(st.lists(st.floats(-1.0, s_max + 1.0), min_size=nx, max_size=nx)))
@@ -76,6 +76,15 @@ def survivor_cases(draw):
                FiringRateModel(kind="smooth", p_inf=2.225073858507e-311,
                                sigma=SigmaMap("identity"), p_star=0.0, s_star=0.0, theta=1.0),
                np.array([0.0]), np.ones((3, 1)), 1))
+# the large source row pairs with the rate only at the last node, over a length-0 interval
+@example(case=(AgeGrid(ns=2, s_max=2.0), FiringRateModel(kind="step", p_inf=0.5,
+                                                         sigma=SigmaMap("identity")),
+               np.array([1.0]), np.array([[1.0], [1e-9]]), 1))
+# the large source row meets the rate only past lag m: FFT round-off of that product
+# would swamp the sum of the small rows
+@example(case=(AgeGrid(ns=5, s_max=2.0), FiringRateModel(kind="step", p_inf=0.5,
+                                                         sigma=SigmaMap("identity")),
+               np.array([1.0]), np.array([[1e-9], [1.0], [1e-9], [1e-9], [1e-9]]), 1))
 def test_survivor_sum_matches_shifted_copy_loop(case):
     fine, model, S, n_a, m = case
     hazard = model.cumulative_hazard(fine.nodes, S)
@@ -84,6 +93,40 @@ def test_survivor_sum_matches_shifted_copy_loop(case):
     ref = shifted_copy_sum(n_a, hazard, p_nodes, fine.ds, m)
     assert Q.shape == (m + 1, S.size)
     assert np.abs(Q - ref).max() <= max(1e-13 * np.abs(ref).max(), UNDERFLOW_FLOOR)
+
+
+@pytest.mark.parametrize("kind, fine_ns, nx", [("step", 8000, 2), ("smooth", 4000, 3)])
+@pytest.mark.parametrize("hazard_span", [12.0, 60.0])  # p_inf * s_max
+@pytest.mark.parametrize("width", [0.05, 3.0])  # a Gaussian whose tails underflow, a broad one
+def test_survivor_sum_in_long_blocks_matches_shifted_copy_loop(kind, fine_ns, nx, hazard_span,
+                                                               width, monkeypatch):
+    # blocks of hundreds of source rows (a hazard rise of 2 takes 2 fine_ns / hazard_span)
+    fine, m = AgeGrid(ns=fine_ns, s_max=10.0), 300
+    p_inf = hazard_span / fine.s_max
+    model = (FiringRateModel(kind="step", p_inf=p_inf, sigma=SigmaMap("identity")) if kind == "step"
+             else FiringRateModel(kind="smooth", p_inf=p_inf, sigma=SigmaMap("identity"),
+                                  p_star=0.2 * p_inf, s_star=0.5, theta=1.0))
+    S = np.array([1.0, 2.5, 4.0][:nx])
+    n_a = np.exp(-(((fine.nodes - 1.5) / width) ** 2))[:, None] * np.arange(1, nx + 1)
+    hazard = model.cumulative_hazard(fine.nodes, S)
+    p_nodes = model.node_rates(fine, S)
+    ref = shifted_copy_sum(n_a, hazard, p_nodes, fine.ds, m)
+    clamped = []  # Q as the final clamp at 0 receives it
+    maximum = np.maximum
+
+    def spy(x, y, *args, **kwargs):
+        if np.isscalar(y) and y == 0.0:
+            clamped.append(np.array(x))
+        return maximum(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "maximum", spy)
+    Q = _survivor_sum(n_a, hazard, p_nodes, fine.ds, m, model.p_inf)
+    monkeypatch.undo()
+    scale = np.abs(ref).max()
+    assert np.abs(Q - ref).max() <= 1e-13 * scale
+    assert Q.min() >= 0.0
+    (raw,) = clamped
+    assert np.all(np.abs(raw[raw < 0.0]) < 1e-14 * scale)
 
 
 def test_oracle_finite_where_survival_underflows():
@@ -131,16 +174,6 @@ def constant_hazard_cases(draw):
     rise = draw(st.floats(0.0, 2.0, exclude_min=True, allow_subnormal=False))
     n0 = DensityField(values, age, SpatialGrid(nx=nx))
     return n0, rise * refine / age.ds, q * age.ds, refine
-
-
-@pytest.mark.parametrize("cols", [1, 7, 8, 19200, 19201])
-def test_aligned_buffers_start_on_64_byte_boundaries(cols):
-    block = _aligned_empty(4, cols)
-    assert block.shape == (4, cols) and block.flags.c_contiguous
-    assert block.ctypes.data % 64 == 0
-    # the correlation operand's rows, padded to a multiple of 8 doubles, all start aligned
-    B = _aligned_empty(4, -(-cols // 8) * 8)[:, :cols]
-    assert [row.ctypes.data % 64 for row in B] == [0] * 4
 
 
 @settings(deadline=None)

@@ -179,6 +179,17 @@ class TestCharacteristicsOracle:
         with pytest.raises(GridError, match="stimulation shape"):
             characteristics_oracle(n0, np.zeros(3), step_model(), t=0.5, refine=4)
 
+    @pytest.mark.parametrize("t, refine, field", [
+        (-1.0, 4, "t"), (np.nan, 4, "t"), (np.inf, 4, "t"),
+        (0.5, 0, "refine"), (0.5, -1, "refine"), (0.5, 2.5, "refine"),
+    ])
+    def test_bad_time_or_refinement_is_refused_by_name(self, t, refine, field):
+        age, space = AgeGrid(ns=20, s_max=2.0), SpatialGrid(nx=2)
+        n0 = DensityField.from_function(age, space, lambda s, x: np.exp(-s) + 0 * x)
+        with pytest.raises(GridError, match=f"^{field} ") as err:
+            characteristics_oracle(n0, np.zeros(2), step_model(), t=t, refine=refine)
+        assert err.value.field == field
+
     def test_zero_time_returns_the_datum(self):
         age, space = AgeGrid(ns=50, s_max=5.0), SpatialGrid(nx=2)
         n0 = DensityField.from_function(age, space, lambda s, x: np.exp(-s) * (1 + x))
