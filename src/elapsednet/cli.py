@@ -34,7 +34,7 @@ from .fixedpoint import PicardError
 from .grids import GridError
 from .limit import epsilon_study, limit_run
 from .models import ModelError
-from .output import OutputSink, fmt, kernel_table, write_record
+from .output import OutputSink, fmt, format_values, kernel_csv, write_record
 from .presets import get_preset, list_presets
 from .renewal import CFLError, NegativeDensityError, large_input_run, nonlinear_run
 from .stationary import StationaryProblem, solve_stationary
@@ -141,8 +141,8 @@ def _stationary(exp: Experiment, args, sink: OutputSink):
     state = states[0]
     sink.write_csv("stationary.csv", ["x", "S_star", "N_star"],
                    np.column_stack((exp.space.nodes, state.S_star, state.N_star)))
-    sink.write_csv("w_star.csv", ["x", "y", "w"],
-                   kernel_table(exp.space.nodes, state.w_star.values))
+    sink.write_text("w_star.csv", kernel_csv(format_values(exp.space.nodes),
+                                             format_values(state.w_star.values)))
     cert = state.contraction_certificate
     summary = [
         f"residual = {fmt(state.residual)}",

@@ -21,11 +21,40 @@ def fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def format_values(values) -> list[str]:
+    """Each value of an array, in C order, as `fmt` writes it: one %-format per array."""
+    flat = np.asarray(values, dtype=float).ravel().tolist()
+    return ("%.17g\n" * len(flat) % tuple(flat)).split("\n")[:-1]
+
+
+def join_rows(rows, sep: str = ",") -> str:
+    """One line per row of strings, its strings joined by `sep`."""
+    return "".join([sep.join(row) + "\n" for row in rows])
+
+
 def format_rows(table, sep: str = ",") -> str:
     """Rows of a 2-D table as lines of `sep`-joined values, each value as `fmt` writes it."""
     table = np.asarray(table, dtype=float)
-    line = sep.join(["%.17g"] * table.shape[-1]) + "\n"
-    return "".join([line % tuple(row.tolist()) for row in table])
+    cells, n = format_values(table), table.shape[-1]
+    return join_rows([cells[i * n : (i + 1) * n] for i in range(len(table))], sep)
+
+
+def grid_lines(outer, inner, cells, sep: str) -> list[str]:
+    """Per outer string b the text of the lines (outer_b, inner_j, cells[b nj + j]),
+    `sep`-joined, j running fastest."""
+    nj = len(inner)
+    return [join_rows(zip([o] * nj, inner, cells[b * nj : (b + 1) * nj]), sep)
+            for b, o in enumerate(outer)]
+
+
+def gnuplot_blocks(outer, inner, cells) -> str:
+    """`grid_lines` with a blank line after each block (a lone newline for no blocks)."""
+    return "".join([block + "\n" for block in grid_lines(outer, inner, cells, " ")]) or "\n"
+
+
+def kernel_csv(x, w) -> str:
+    """'x,y,w' and the rows (x_i, x_j, w_ij) of formatted nodes and kernel values."""
+    return "x,y,w\n" + "".join(grid_lines(x, x, w, ","))
 
 
 @dataclass
@@ -61,75 +90,34 @@ class OutputSink:
             fh.write(text)
 
 
-def kernel_table(x_nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rows (x_i, x_j, w_ij), j running fastest."""
-    nx = len(x_nodes)
-    return np.column_stack((np.repeat(x_nodes, nx), np.tile(x_nodes, nx), w.ravel()))
-
-
 def write_record(sink: OutputSink, record: RunRecord) -> None:
-    """Emit the standard per-run files for a RunRecord."""
-    x_nodes, times = record.space.nodes, record.times
-    header = ["t"] + [fmt(x) for x in x_nodes]
-    sink.write_csv("N.csv", header, np.column_stack((times, record.N_series)))
-    sink.write_csv("S.csv", header, np.column_stack((times, record.S_series)))
-    sink.write_csv("mass.csv", header, np.column_stack((times, record.mass_series)))
-    sink.write_csv("kernel_stats.csv", ["t", "w_mean", "w_sup_deviation"],
-                   np.column_stack((times, record.w_mean_series, record.w_dev_series)))
-    for t in sorted(record.w_snapshots):
-        sink.write_csv(f"w_snapshot_t{fmt(t)}.csv", ["x", "y", "w"],
-                       kernel_table(x_nodes, record.w_snapshots[t]))
+    """Emit the standard per-run files for a RunRecord.  Each number is formatted once;
+    files that show the same numbers (N.csv and N_heatmap.dat, say) share its string."""
+    x, t = format_values(record.space.nodes), format_values(record.times)
+    nx, header = len(x), join_rows([["t", *x]])
+    N, S, mass = map(format_values, (record.N_series, record.S_series, record.mass_series))
+    for name, cells in (("N", N), ("S", S), ("mass", mass)):
+        sink.write_text(f"{name}.csv", header + join_rows(
+            [tb, *cells[b * nx : (b + 1) * nx]] for b, tb in enumerate(t)))
+    dev = format_values(record.w_dev_series)
+    sink.write_text("kernel_stats.csv", "t,w_mean,w_sup_deviation\n"
+                    + join_rows(zip(t, format_values(record.w_mean_series), dev)))
+    for ts in sorted(record.w_snapshots):  # w ends as the last snapshot's strings
+        w = format_values(record.w_snapshots[ts])
+        sink.write_text(f"w_snapshot_t{fmt(ts)}.csv", kernel_csv(x, w))
 
-    _write_heatmap(sink, "N_heatmap", times, x_nodes, record.N_series, "activity N(t, x)")
-    _write_heatmap(sink, "S_heatmap", times, x_nodes, record.S_series, "stimulation S(t, x)")
-    _write_deviation_trace(sink, record)
+    _write_map(sink, "N_heatmap", gnuplot_blocks(t, x, N), "tx", "activity N(t, x)")
+    _write_map(sink, "S_heatmap", gnuplot_blocks(t, x, S), "tx", "stimulation S(t, x)")
+    sink.write_text("w_deviation.dat", join_rows(zip(t, dev), " "))
+    sink.write_text("w_deviation.gp", "set xlabel 't'\nset ylabel '||w - <w>||_inf'\n"
+                    "set logscale y\nplot 'w_deviation.dat' using 1:2 with lines notitle\n")
     if record.w_snapshots:
-        t_last = max(record.w_snapshots)
-        _write_kernel_panel(sink, x_nodes, record.w_snapshots[t_last], t_last)
+        _write_map(sink, "kernel_final", gnuplot_blocks(x, x, w), "xy",
+                   f"connectivity w(x, y) at t = {fmt(max(record.w_snapshots))}")
 
 
-def format_blocks(outer, inner, table) -> str:
-    """Lines 'outer_b inner_j table_bj', a blank line after each block b (a
-    lone newline for no blocks); one %-format per block."""
-    table = np.asarray(table, dtype=float)
-    nb, nj = table.shape
-    block = "%.17g %.17g %.17g\n" * nj + "\n"
-    lines = np.stack(np.broadcast_arrays(np.asarray(outer, dtype=float)[:, None], inner, table),
-                     axis=-1).reshape(nb, 3 * nj)
-    return "".join([block % tuple(row.tolist()) for row in lines]) or "\n"
-
-
-def _write_heatmap(sink: OutputSink, stem: str, times, x_nodes, table, title: str) -> None:
-    sink.write_text(f"{stem}.dat", format_blocks(times, x_nodes, table))
-    sink.write_text(
-        f"{stem}.gp",
-        "set view map\n"
-        "set xlabel 't'\n"
-        "set ylabel 'x'\n"
-        f"set title '{title}'\n"
-        f"splot '{stem}.dat' using 1:2:3 with pm3d notitle\n",
-    )
-
-
-def _write_deviation_trace(sink: OutputSink, record: RunRecord) -> None:
-    sink.write_text("w_deviation.dat",
-                    format_rows(np.column_stack((record.times, record.w_dev_series)), sep=" "))
-    sink.write_text(
-        "w_deviation.gp",
-        "set xlabel 't'\n"
-        "set ylabel '||w - <w>||_inf'\n"
-        "set logscale y\n"
-        "plot 'w_deviation.dat' using 1:2 with lines notitle\n",
-    )
-
-
-def _write_kernel_panel(sink: OutputSink, x_nodes, w: np.ndarray, t: float) -> None:
-    sink.write_text("kernel_final.dat", format_blocks(x_nodes, x_nodes, w))
-    sink.write_text(
-        "kernel_final.gp",
-        "set view map\n"
-        "set xlabel 'x'\n"
-        "set ylabel 'y'\n"
-        f"set title 'connectivity w(x, y) at t = {fmt(t)}'\n"
-        "splot 'kernel_final.dat' using 1:2:3 with pm3d notitle\n",
-    )
+def _write_map(sink: OutputSink, stem: str, data: str, axes: str, title: str) -> None:
+    """`stem`.dat and the gnuplot script that draws it as a pm3d map."""
+    sink.write_text(f"{stem}.dat", data)
+    sink.write_text(f"{stem}.gp", f"set view map\nset xlabel '{axes[0]}'\nset ylabel '{axes[1]}'\n"
+                    f"set title '{title}'\nsplot '{stem}.dat' using 1:2:3 with pm3d notitle\n")

@@ -22,7 +22,8 @@ fires at exactly 0 and every one above it at exactly p_inf; for the step rate
 the band is the threshold cells and the cell above them.  Those two zones are
 swept with scalar coefficients, and N is the band's product plus p_inf times
 one column sum over the top zone.  For the step rate each trial activity of an
-iterated coupling costs O(nx), from the suffix sums C_k of the interval means.
+iterated coupling costs O(nx), from the suffix sums C_k of the interval means,
+formed by blocks of rows up to the highest threshold cell the trials reach.
 
 The connectivity kernel relaxes toward gamma * G(N(x), N(y)) and is advanced
 by the exact one-step exponential formula with the activity frozen over the
@@ -52,6 +53,7 @@ class NegativeDensityError(RuntimeError):
 
 NEGATIVE_SENTINEL = -1e-12
 BLOCK_ROWS = 512  # rows per block of a Stepper sweep: a block of each buffer stays in L2
+SUFFIX_ROWS = 64  # rows per block of the step-rate suffix sums, formed as trials reach them
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ class Stepper:
         (self.B0, self.B1), (self.A0, self.A1) = self.coefficients(np.array([0.0, model.p_inf]))
         self.edges = n.age.nodes
         self.nbar = self.suffix = None  # formed by the step-kind `activity`
-        self.steps, self.loaded = 0, False
+        self.steps, self.formed = 0, 0  # rows of nbar and the suffix sums formed
 
     def coefficients(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """B = lam - h r and A = B + 1 - 2 lam, clamped at 0 against round-off: B >= 0 as
@@ -205,24 +207,33 @@ class Stepper:
         """N = ds sum_i r_i(S) nbar_i of the field, one value per x.
 
         For the step kind every interval above the cell k holding sigma(S) fires at
-        p_inf, so with the suffix sums C_k of nbar, formed once per field, N = ds p_inf
-        (C_{k+1} + frac_k nbar_k) costs O(nx) per trial.  The smooth kind sums the zones.
+        p_inf, so with the suffix sums C_k of nbar, formed up to the highest C_{k+1} the
+        trials of the field read, N = ds p_inf (C_{k+1} + frac_k nbar_k) costs O(nx) per
+        trial.  The smooth kind sums the zones.
         """
         model, ds = self.model, self.age.ds
         if model.kind != "step":
             return self.flux(S)
         if self.suffix is None:  # C_{ns-1} = 0
             self.nbar, self.suffix = np.empty_like(self.values[1:]), np.zeros(self.values.shape)
-        if not self.loaded:  # nbar and the suffix sums of the current field
-            np.add(self.values[1:], self.values[:-1], out=self.nbar)
-            self.nbar *= 0.5
-            np.cumsum(self.nbar[::-1], axis=0, out=self.suffix[-2::-1])
-            self.loaded = True
         sig = model.sigma(S)
         k = self.threshold_cell(sig)
+        while self.formed < min(int(k.max()) + 2, self.age.ns - 1):  # rows 0..k+1
+            self.suffix_block()
         frac = np.minimum(1.0, np.maximum(0.0, (self.edges[k + 1] - sig) / ds))
         cols = np.arange(len(k))
         return ds * model.p_inf * (self.suffix[k + 1, cols] + frac * self.nbar[k, cols])
+
+    def suffix_block(self) -> None:
+        """nbar and C on the next SUFFIX_ROWS rows [a, e): a reversed cumsum plus one column
+        sum C_e = (v_e + v_{ns-1}) / 2 + ones @ v[e+1:-1], whatever the trials formed before."""
+        v, a = self.values, self.formed
+        e = self.formed = min(a + SUFFIX_ROWS, len(v) - 1)
+        nbar = np.add(v[a:e], v[a + 1 : e + 1], out=self.nbar[a:e])
+        nbar *= 0.5
+        C = np.cumsum(nbar[::-1], axis=0, out=self.suffix[a:e][::-1])
+        if e < len(v) - 1:
+            C += 0.5 * (v[e] + v[-1]) + self.ones[e + 2 :] @ v[e + 1 : -1]
 
     def threshold_cell(self, sig: np.ndarray) -> np.ndarray:
         """Per column the cell k with s_k <= sigma < s_{k+1}, clipped to the grid."""
@@ -272,7 +283,7 @@ class Stepper:
         if (bound := lam + self.h * self.r_max) > 1 + 1e-12:
             raise CFLError(f"positivity bound violated: dt/(eps*ds) + dt*r_max/(2*eps) = "
                            f"{bound:.6g} > 1 (max rate {self.r_max:.6g})")
-        N = self.activity(S) if self.loaded else self.flux()  # the suffix sums when formed
+        N = self.activity(S) if self.formed else self.flux()  # the suffix sums when formed
         A, B = (self.A1, self.B1) if hi <= top else (self.A[-1], self.B[-1])
         v[-1] = (A + B) * v[-1] + 2.0 * B * v[-2]
         low = np.minimum(N.min(), v[-1].min())  # np.minimum, unlike min(), keeps a NaN
@@ -286,7 +297,7 @@ class Stepper:
                 v[a + 1 : b + 1] += scratch
                 low = np.minimum(low, v[a + 1 : b + 1].min())
         v[0] = N
-        self.loaded = False
+        self.formed = 0
         self.steps += 1
         if not low >= NEGATIVE_SENTINEL:  # NaN fails this comparison too
             raise NegativeDensityError(

@@ -16,6 +16,7 @@ from elapsednet.grids import AgeGrid, ConnectivityKernel, DensityField, SpatialG
 from elapsednet.models import FiringRateModel, InputModel, LearningRule, SigmaMap
 from elapsednet.renewal import (
     BLOCK_ROWS,
+    SUFFIX_ROWS,
     NegativeDensityError,
     PicardOptions,
     Recorder,
@@ -32,11 +33,14 @@ UNDERFLOW_FLOOR = 1e-290
 DENSITY = st.floats(0.0, 10.0, allow_subnormal=False)
 # ds * p_inf in (0, 2]; no subnormal, which dividing by ds could round to p_inf = 0
 DS_RATE = st.floats(0.0, 2.0, exclude_min=True, allow_subnormal=False)
+# node counts whose suffix sums span one, two, three and four blocks
+SUFFIX_SPANS = st.one_of(st.integers(3, 40), st.sampled_from(
+    [SUFFIX_ROWS - 1, SUFFIX_ROWS, SUFFIX_ROWS + 1, 2 * SUFFIX_ROWS + 1, 3 * SUFFIX_ROWS + 5]))
 
 
 @st.composite
-def grids(draw):
-    age = AgeGrid(ns=draw(st.integers(3, 40)), s_max=draw(st.floats(0.5, 20.0)))
+def grids(draw, ns=st.integers(3, 40)):
+    age = AgeGrid(ns=draw(ns), s_max=draw(st.floats(0.5, 20.0)))
     space = SpatialGrid(nx=draw(st.integers(1, 4)))
     values = draw(hnp.arrays(np.float64, (age.ns, space.nx), elements=DENSITY))
     return DensityField(values, age, space)
@@ -71,7 +75,7 @@ def sigma_maps(age: AgeGrid):
 @settings(deadline=None)
 @given(data=st.data())
 def test_fast_activity_matches_interval_quadrature(data):
-    n = data.draw(grids())
+    n = data.draw(grids(SUFFIX_SPANS))
     age = n.age
     # ds * p_inf <= 2 is the stepper's coarse-grid bound
     model = FiringRateModel(kind="step", p_inf=data.draw(DS_RATE) / age.ds,
@@ -163,7 +167,7 @@ def test_activity_after_any_step_sequence_matches_a_fresh_stepper(data):
     """`activity` reads only the current field, whatever ran before: it forms nbar and
     the suffix sums again after `flux` or `advance` spent nbar, and the suffix row past
     the top cell stays C_{ns-1} = 0, so thresholds in the top cell agree too."""
-    n = data.draw(grids())
+    n = data.draw(grids(SUFFIX_SPANS))
     age = n.age
     # ds * p_inf <= 2 keeps dt = ds/2 inside the positivity bound
     p_inf = data.draw(DS_RATE) / age.ds
@@ -184,6 +188,33 @@ def test_activity_after_any_step_sequence_matches_a_fresh_stepper(data):
     fresh = Stepper(DensityField(stepper.values.copy(), age, n.space), model, cfg)
     S = draw_S()
     np.testing.assert_array_equal(stepper.activity(S), fresh.activity(S))
+
+
+def test_suffix_blocks_in_any_order_match_a_fresh_stepper():
+    """Trials whose thresholds sit in the top block, then the bottom one, then a middle
+    one: each N is the bits of a fresh Stepper's, which forms only the blocks it reads,
+    the one that holds C_{k+1} too when k is the last cell of a block."""
+    age, space = AgeGrid(ns=3 * SUFFIX_ROWS + 5, s_max=10.0), SpatialGrid(nx=3)
+    n = DensityField.from_function(age, space, lambda s, x: np.exp(-s / 4) * (1 + x))
+    model = FiringRateModel(kind="step", p_inf=1.5, sigma=SigmaMap("identity"))
+    cfg = SolverConfig(dt=age.ds / 2)
+    stepper = Stepper(n, model, cfg)
+    top = age.nodes[-2] + 0.3 * age.ds  # in the top cell [s_{ns-2}, s_{ns-1})
+    trials = [(top, age.nodes[-4], age.nodes[-SUFFIX_ROWS // 2]),  # the top block
+              (0.5 * age.ds, 3 * age.ds, age.nodes[SUFFIX_ROWS - 1] + 0.5 * age.ds),  # bottom
+              (age.nodes[SUFFIX_ROWS + 7], age.nodes[2 * SUFFIX_ROWS - 1] + 0.5 * age.ds, 2.5)]
+    for S in map(np.array, trials):
+        fresh = Stepper(DensityField(n.values.copy(), age, space), model, cfg)
+        assert stepper.activity(S).tobytes() == fresh.activity(S).tobytes()
+        assert fresh.formed == min(-(-(stepper.threshold_cell(S).max() + 2) // SUFFIX_ROWS)
+                                   * SUFFIX_ROWS, age.ns - 1)
+    assert stepper.formed == age.ns - 1
+    # a threshold in the top cell reads C_{ns-1} = 0 and its own cell's part only
+    v = n.values
+    nbar = 0.5 * (v[-2, 0] + v[-1, 0])
+    assert stepper.suffix[-1].tolist() == [0.0] * space.nx
+    assert stepper.activity(np.array(trials[0]))[0] == \
+        age.ds * model.p_inf * ((age.nodes[-1] - top) / age.ds * nbar)
 
 
 @pytest.mark.parametrize("ns, s_max", [(11, 1.0), (15, 20.0), (30, 5.0)])
@@ -299,11 +330,12 @@ def test_flux_counts_the_top_rows_once():
 def test_iterate_mode_forms_nbar_once_per_step(monkeypatch):
     # the coupling solve forms nbar and the suffix sums; the step's own N reuses them,
     # with no second pass over the field (a reload or a sum over the zones in `flux`)
-    loads, fluxes, in_advance = [], [], []
+    loads, fluxes, in_advance, blocks = [], [], [], []
     activity, flux, advance = Stepper.activity, Stepper.flux, Stepper.advance
+    suffix_block = Stepper.suffix_block
 
     def counting_activity(self, S):
-        loads.append(not self.loaded)
+        loads.append(self.formed == 0)
         return activity(self, S)
 
     def counting_flux(self, S=None):
@@ -316,7 +348,12 @@ def test_iterate_mode_forms_nbar_once_per_step(monkeypatch):
         in_advance.append(loads[start:])
         return N
 
+    def counting_block(self):
+        blocks.append((self.steps, self.formed))
+        suffix_block(self)
+
     monkeypatch.setattr(Stepper, "activity", counting_activity)
+    monkeypatch.setattr(Stepper, "suffix_block", counting_block)
     monkeypatch.setattr(Stepper, "flux", counting_flux)
     monkeypatch.setattr(Stepper, "advance", counting_advance)
     n0, w0, input_model = _small_problem()
@@ -330,6 +367,10 @@ def test_iterate_mode_forms_nbar_once_per_step(monkeypatch):
     assert fluxes == [0]  # the initial N only
     # each step's N is one more trial of the loaded sums
     assert in_advance == [[False]] * 10
+    # every trial threshold of this run stays in the bottom block, so each field forms
+    # that block and none of the rows above it
+    assert blocks == [(step, 0) for step in range(10)]
+    assert SUFFIX_ROWS < n0.age.ns - 1
 
 
 def test_lagged_run_allocates_no_second_field():
