@@ -89,7 +89,7 @@ def test_fast_activity_matches_interval_quadrature(data):
     np.testing.assert_allclose(fast, ref, rtol=1e-13, atol=UNDERFLOW_FLOOR)
     # no interval lies above a threshold at or beyond s_max
     assert np.all(fast[model.sigma(S) >= age.s_max] == 0.0)
-    # the suffix sums are formed once per loaded field and reused
+    # the suffix blocks are formed once per field and reused
     np.testing.assert_array_equal(stepper.activity(S), fast)
 
 
