@@ -136,7 +136,7 @@ class HomogenizationSeries:
 
 def homogenization_metrics(record: RunRecord) -> HomogenizationSeries:
     """Per saved time: sup deviations of w from <w> and of N, S from their means."""
-    xw = record.space.weights / record.space.length
+    xw = record.space.weights  # |Omega| = 1, so the weights average
     N_dev = np.abs(record.N_series - (record.N_series @ xw)[:, None]).max(axis=1)
     S_dev = np.abs(record.S_series - (record.S_series @ xw)[:, None]).max(axis=1)
     return HomogenizationSeries(
@@ -175,7 +175,6 @@ def regime_certificates(
     left-hand side (threshold 1).  Sufficient, never claimed necessary."""
     g = np.asarray(g, dtype=float)
     A = max(float(w0.values.max()), rule.gamma)
-    omega = w0.space.length
     g_max = float(g.max())
     S_lo, S_hi = stimulation_bounds(model, rule, float(w0.values.max()), g_max, input_values)
     lipF, supF = F_bounds(model, S_lo, S_hi)
@@ -183,13 +182,13 @@ def regime_certificates(
     certs: list[Certificate] = []
     if model.kind == "step":
         B = (n0_max if n0_max is not None else 0.0) + model.p_inf * g_max
-        lhs = model.p_inf * model.sigma.lipschitz * omega * A * B
+        lhs = model.p_inf * model.sigma.lipschitz * A * B
         certs.append(Certificate(
             "wellposed_step", lhs, lhs < 1.0,
             "p_inf ||sigma'|| |Omega| max(||w0||, gamma) (||n0|| + p_inf ||g||) < 1",
         ))
     else:
-        lhs = g_max * omega * model.dpdS_bound * A
+        lhs = g_max * model.dpdS_bound * A
         certs.append(Certificate(
             "wellposed_smooth", lhs, lhs < 1.0,
             "||g|| |Omega| ||dp/dS|| max(||w0||, gamma) < 1",

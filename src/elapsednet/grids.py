@@ -1,6 +1,6 @@
 """Grids, field containers, quadrature and norms shared by all solvers.
 
-The spatial domain is an interval split into ``nx`` uniform cells with nodes
+The spatial domain is the unit interval, split into ``nx`` uniform cells with nodes
 at the cell midpoints; integrals over position use the cell-width weights
 (exact for constants, second order for smooth integrands).  The age domain
 [0, s_max) carries ``ns`` uniform nodes starting at s=0 so the renewal
@@ -39,31 +39,21 @@ def whole_steps(t: float, dt: float, field: str = "t_end") -> int:
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform cell-midpoint grid on (x_min, x_max)."""
+    """Uniform cell-midpoint grid on the unit interval (0, 1), so |Omega| = 1."""
 
     nx: int
-    x_min: float = 0.0
-    x_max: float = 1.0
 
     def __post_init__(self) -> None:
         if self.nx < 1:
             raise GridError(f"nx must be a positive integer, got {self.nx}", field="nx")
-        if not -np.inf < self.x_min < self.x_max < np.inf:
-            raise GridError(f"domain must be finite and nonempty: x_min={self.x_min}, "
-                            f"x_max={self.x_max}",
-                            field="x_min" if not -np.inf < self.x_min < np.inf else "x_max")
-
-    @property
-    def length(self) -> float:
-        return self.x_max - self.x_min
 
     @property
     def dx(self) -> float:
-        return (self.x_max - self.x_min) / self.nx
+        return 1.0 / self.nx
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.x_min + (np.arange(self.nx) + 0.5) * self.dx
+        return (np.arange(self.nx) + 0.5) * self.dx
 
     @property
     def weights(self) -> np.ndarray:
@@ -191,9 +181,9 @@ class ConnectivityKernel:
         return ConnectivityKernel(self.values.copy(), self.space)
 
     def mean(self) -> float:
-        """Domain-averaged kernel value <w> = |Omega|^-2 * double integral of w."""
+        """Domain-averaged kernel value <w>, the double integral of w over |Omega| = 1."""
         w = self.space.weights
-        return float(w @ self.values @ w) / self.space.length**2
+        return float(w @ self.values @ w)
 
     def deviation_from_mean(self) -> float:
         """Sup-norm distance of w from its domain average <w>."""

@@ -11,14 +11,13 @@ frozen stimulation S and links S to the stationary activity via N = g F(S).
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import AgeGrid, ConnectivityKernel, FieldError, GridError, SpatialGrid
+from .grids import AgeGrid, FieldError, GridError, SpatialGrid
 
 
 class ModelError(FieldError, ValueError):
@@ -69,6 +68,12 @@ class SigmaMap:
     def limit_value(self) -> float:
         """sigma(S) as S -> infinity (inf for the identity map)."""
         return self(np.inf)
+
+
+def _by_column(s: np.ndarray, S) -> np.ndarray:
+    """The ages s lined up against S: a column, one S value per column, for an array S;
+    as given for a scalar S."""
+    return s[:, None] if np.ndim(S) else s
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
@@ -142,11 +147,9 @@ class FiringRateModel:
         fractional overlap of the interval with (sigma, inf), which removes
         the staircase dependence of the activity on sigma.
         """
-        sig = np.asarray(self.sigma(S), dtype=float)
-        nodes = np.arange(lo, age.ns if hi is None else hi + 1) * age.ds  # s_lo..s_hi only
-        edges = nodes[:, None] if sig.ndim else nodes
+        edges = _by_column(np.arange(lo, age.ns if hi is None else hi + 1) * age.ds, S)
         if self.kind == "step":
-            out = np.divide(np.subtract(edges[1:], sig), age.ds)
+            out = np.divide(np.subtract(edges[1:], self.sigma(S)), age.ds)
             np.minimum(1.0, np.maximum(0.0, out, out=out), out=out)
             return np.multiply(out, self.p_inf, out=out)
         p = self.evaluate(edges, S)
@@ -154,32 +157,22 @@ class FiringRateModel:
 
     def node_rates(self, age: AgeGrid, S) -> np.ndarray:
         """Per-node rates for trapezoid quadratures of the discharge integral."""
-        sig = np.asarray(self.sigma(S), dtype=float)
-        s = age.nodes
+        s = _by_column(age.nodes, S)
         if self.kind == "step":
             lo = np.maximum(s - 0.5 * age.ds, 0.0)
             hi = s + 0.5 * age.ds
-            if sig.ndim == 0:
-                frac = np.clip((hi - sig) / (hi - lo), 0.0, 1.0)
-            else:
-                frac = np.clip((hi[:, None] - sig[None, :]) / (hi - lo)[:, None], 0.0, 1.0)
-            return self.p_inf * frac
-        return self.evaluate(s[:, None] if sig.ndim else s, S)
+            return self.p_inf * np.clip((hi - self.sigma(S)) / (hi - lo), 0.0, 1.0)
+        return self.evaluate(s, S)
 
     def cumulative_hazard(self, s: np.ndarray, S) -> np.ndarray:
         """Integral of p(u, S) for u in [0, s]; closed form for the step kind."""
-        s = np.asarray(s, dtype=float)
+        s = _by_column(np.asarray(s, dtype=float), S)
         if self.kind == "step":
-            sig = np.asarray(self.sigma(S), dtype=float)
-            if sig.ndim == 0:
-                return self.p_inf * np.maximum(s - sig, 0.0)
-            return self.p_inf * np.maximum(s[:, None] - sig[None, :], 0.0)
-        p = self.evaluate(s[:, None] if np.ndim(S) else s, S)
+            return self.p_inf * np.maximum(s - self.sigma(S), 0.0)
+        p = self.evaluate(s, S)
         out = np.empty_like(p)
         out[:1] = 0.0
-        ds = s[1:] - s[:-1]
-        steps = 0.5 * (p[1:] + p[:-1]) * (ds[:, None] if p.ndim == 2 else ds)
-        np.cumsum(steps, axis=0, out=out[1:])
+        np.cumsum(0.5 * (p[1:] + p[:-1]) * (s[1:] - s[:-1]), axis=0, out=out[1:])
         return out
 
     def limit_model(self) -> "FiringRateModel":
@@ -196,11 +189,6 @@ def slaved_profile(model: FiringRateModel, age: AgeGrid, S, g) -> np.ndarray:
 
 RAMP_INTERVALS = 128  # quadrature intervals across a ramp of hazard rise p_inf * theta <= 1
 MAX_RAMP_REFINE = 64  # caps the cost of one point on very steep ramps
-
-
-@functools.lru_cache(maxsize=None)
-def _ramp_unit(intervals: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, intervals + 1)
 
 
 def survival_F(model: FiringRateModel, S):
@@ -242,7 +230,7 @@ def survival_F(model: FiringRateModel, S):
     refine = max(1, math.ceil(min(math.sqrt(model.p_inf * theta), MAX_RAMP_REFINE)))
     intervals = RAMP_INTERVALS * refine
     windows = np.empty((S_flat.size, intervals + 3))
-    np.add(sig[:, None], theta * _ramp_unit(intervals), out=windows[:, :-2])
+    np.add(sig[:, None], theta * np.linspace(0.0, 1.0, intervals + 1), out=windows[:, :-2])
     windows[:, -2:] = windows[:, -3:-2]  # zero-width, or s_star's nodes on a split ramp
     split = (sig <= s_star) & (s_star < sig + theta)
     if split.any():
@@ -319,10 +307,10 @@ class LearningRule:
             out = np.exp(-((Na - Nb) ** 2)) / (1.0 + np.exp(-2.0 * Na * Nb + 2.0))
         return float(out) if out.ndim == 0 else out
 
-    def kernel_target(self, N: np.ndarray, space: SpatialGrid) -> ConnectivityKernel:
+    def kernel_target(self, N: np.ndarray) -> np.ndarray:
         """The relaxation target gamma * G(N(x), N(y)) of the kernel dynamics."""
         N = np.asarray(N, dtype=float)
-        return ConnectivityKernel(self.gamma * self.evaluate(N[:, None], N[None, :]), space)
+        return self.gamma * self.evaluate(N[:, None], N[None, :])
 
     def warn_if_unnormalized(self, N_max: float) -> None:
         """The Hebbian rule can exceed 1 on large activities; warn, never reject.  A rule of

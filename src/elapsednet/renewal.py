@@ -407,8 +407,7 @@ def nonlinear_steps(
         N = stepper.advance(S)
 
         # (iv): exact exponential kernel relaxation with N frozen
-        target = rule.gamma * rule.evaluate(N[:, None], N[None, :])
-        w = decay * w + (1.0 - decay) * target
+        w = decay * w + (1.0 - decay) * rule.kernel_target(N)
 
         if recorder.due(step):  # the mass is integrated on recorded steps only
             recorder.save(step, N, S, age.integrate(stepper.values), w)

@@ -70,7 +70,7 @@ class StationaryProblem:
         return StationaryState(
             S_star=np.asarray(S, dtype=float),
             N_star=N,
-            w_star=self.rule.kernel_target(N, self.space),
+            w_star=ConnectivityKernel(self.rule.kernel_target(N), self.space),
             n_star=DensityField(slaved_profile(self.model, self.age, S, self.g), self.age,
                                 self.space),
             residual=result.residual,

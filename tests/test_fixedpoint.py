@@ -16,8 +16,8 @@ def contractive_affine_maps(draw):
     entries = st.floats(-1.0, 1.0)
     A = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
     norm = np.linalg.norm(A, 2)
-    if norm > 0:
-        A *= draw(st.floats(0.0, 0.9)) / norm
+    if norm > 0:  # |A_ij| <= norm, so A / norm cannot overflow where r / norm can
+        A = A / norm * draw(st.floats(0.0, 0.9))
     vectors = st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)
     return A, np.array(draw(vectors)), np.array(draw(vectors))
 

@@ -56,7 +56,6 @@ NON_FINITE_CASES = [
     (lambda v: SolverConfig(dt=v), "dt", INF, ValueError),
     (lambda v: PicardOptions(tol=v), "tol", NAN, ValueError),
     (lambda v: AgeGrid(ns=10, s_max=v), "s_max", INF, GridError),
-    (lambda v: SpatialGrid(nx=4, x_max=v), "x_max", INF, GridError),
 ]
 
 
@@ -276,19 +275,18 @@ class TestLearningRule:
             np.testing.assert_allclose(rule.evaluate(a, b), rule.evaluate(b, a), rtol=1e-14)
 
     def test_hebbian_kernel_target_constant(self):
-        space = SpatialGrid(nx=12)
         rule = LearningRule("hebbian", gamma=15.0)
-        target = rule.kernel_target(np.full(12, 0.5), space)
-        np.testing.assert_allclose(target.values, 15.0 / 4.0, rtol=1e-14)
+        target = rule.kernel_target(np.full(12, 0.5))
+        assert target.shape == (12, 12)
+        np.testing.assert_allclose(target, 15.0 / 4.0, rtol=1e-14)
 
     def test_hebbian_target_is_rank_one(self):
         rng = np.random.default_rng(9)
-        space = SpatialGrid(nx=20)
         rule = LearningRule("hebbian", gamma=2.0)
-        target = rule.kernel_target(rng.uniform(0.1, 1.0, size=20), space)
-        sv = np.linalg.svd(target.values, compute_uv=False)
+        target = rule.kernel_target(rng.uniform(0.1, 1.0, size=20))
+        sv = np.linalg.svd(target, compute_uv=False)
         assert sv[1] < 1e-10 * sv[0]
-        np.testing.assert_allclose(target.values, target.values.T, rtol=1e-14)
+        np.testing.assert_allclose(target, target.T, rtol=1e-14)
 
     def test_unnormalized_warning(self):
         rule = LearningRule("hebbian", gamma=1.0)

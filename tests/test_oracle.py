@@ -1,7 +1,7 @@
 """The characteristics oracle's survivor sum, its renewal marching and the
 smooth-rate survival normalization F: agreement with the direct sums they
 replaced and with closed forms, finiteness where exp(-hazard) underflows,
-monotonicity, and agreement of the batched F and hazard with their
+monotonicity, and agreement of the batched F, hazard and rates with their
 per-point values."""
 
 import math
@@ -41,8 +41,8 @@ def shifted_copy_sum(n_a, hazard, p_nodes, delta, m):
 
 
 @st.composite
-def rate_models(draw, p_inf):
-    sigma = SigmaMap("identity")
+def rate_models(draw, p_inf, sigmas=st.just(SigmaMap("identity"))):
+    sigma = draw(sigmas)
     if draw(st.booleans()):
         return FiringRateModel(kind="step", p_inf=p_inf, sigma=sigma)
     return FiringRateModel(kind="smooth", p_inf=p_inf, sigma=sigma,
@@ -320,8 +320,14 @@ def clip_smooth_hazard(model, s, S):
     return out
 
 
+SIGMA_MAPS = st.one_of(st.just(SigmaMap("identity")), st.builds(
+    SigmaMap, st.sampled_from(["bounded", "constant"]), st.floats(0.0, 12.0) | st.just(math.inf)))
+ANY_SIGMA_MODELS = st.floats(0.0, 5.0, exclude_min=True, allow_subnormal=False).flatmap(
+    lambda p_inf: rate_models(p_inf, SIGMA_MAPS))
+
+
 @settings(deadline=None)
-@given(model=st.floats(0.0, 5.0, exclude_min=True, allow_subnormal=False).flatmap(rate_models),
+@given(model=ANY_SIGMA_MODELS,
        s=hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(0.0, 20.0)),
        S=hnp.arrays(np.float64, st.integers(1, 4), elements=st.floats(-2.0, 12.0)))
 def test_cumulative_hazard_columns_match_single_S(model, s, S):
@@ -330,11 +336,32 @@ def test_cumulative_hazard_columns_match_single_S(model, s, S):
     assert H.shape == (s.size, S.size)
     for j in range(S.size):
         H_j = model.cumulative_hazard(s, S[j])
-        np.testing.assert_array_equal(H[:, j], H_j)
+        assert np.ascontiguousarray(H[:, j]).tobytes() == H_j.tobytes()
         if model.kind == "smooth":
             np.testing.assert_array_equal(H_j, clip_smooth_hazard(model, s, S[j]))
     if model.kind == "smooth":
         np.testing.assert_array_equal(H, clip_smooth_hazard(model, s, S))
+
+
+@settings(deadline=None)
+@given(model=ANY_SIGMA_MODELS,
+       age=st.builds(AgeGrid, st.integers(2, 40), st.floats(0.5, 20.0)),
+       S=hnp.arrays(np.float64, st.integers(1, 4), elements=st.floats(-2.0, 12.0)),
+       rows=st.lists(st.integers(0, 40), min_size=2, max_size=2))
+def test_rate_methods_line_up_ages_against_each_S(model, age, S, rows):
+    """One rule for how ages meet S, as in `cumulative_hazard`: for an array S, column j
+    of `node_rates` and of `interval_rates` on all rows or on the rows lo..hi - 1 holds
+    the bits of the same method at the scalar S[j]."""
+    lo, hi = sorted(min(r, age.ns - 1) for r in rows)
+    for method in (lambda S: model.node_rates(age, S),
+                   lambda S: model.interval_rates(age, S),
+                   lambda S: model.interval_rates(age, S, lo, hi)):
+        columns = method(S)
+        assert columns.shape[1:] == S.shape
+        for j in range(S.size):
+            assert np.ascontiguousarray(columns[:, j]).tobytes() == method(S[j]).tobytes()
+    np.testing.assert_array_equal(model.interval_rates(age, S, lo, hi),
+                                  model.interval_rates(age, S)[lo:hi])
 
 
 def test_smooth_survival_F_rejects_vanishing_rate():

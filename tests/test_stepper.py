@@ -275,6 +275,42 @@ def test_mass_conserved_at_half_cfl(data):
     assert n.values.min() >= 0.0
 
 
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_l1_distance_of_equal_mass_densities_never_rises(data):
+    """The paper's L1 contraction, step by step.  At a frozen S and dt = ds/2 the step is
+    linear, with nonnegative coefficients and the trapezoid mass of each column kept, so
+    the trapezoid-weighted L1 distance of two densities cannot rise in exact arithmetic.
+
+    Round-off bound: each swept value A v_i + B v_{i-1} is within 3 eps of its exact
+    value, and the rounded coefficients keep the mass to a few eps.  The renewal flux N
+    and the distance are sums of at most ns + 2 nonnegative terms, so each is within
+    (ns + 2) eps of its value, and the boundary row carries ds N / 2 <= ds p_inf mass / 2
+    <= mass.  So a step adds at most (ns + 8) eps of the distance and of the two column
+    masses.  Each rise is measured against the starting distance: a round-off rise on a
+    distance already near 0 is large relative to that distance."""
+    n = data.draw(grids())
+    age, nx = n.age, n.space.nx
+    model = data.draw(rate_models(age))
+    S = np.tile(data.draw(st.lists(stimulation(age), min_size=nx, max_size=nx)), 2)
+    other = data.draw(hnp.arrays(np.float64, (age.ns, nx), elements=DENSITY))
+    mass, other_mass = n.mass(), age.integrate(other)
+    full = other_mass > 0  # scaled to the first's column mass; an empty column copies it
+    other[:, full] = other[:, full] / other_mass[full] * mass[full]
+    other[:, ~full] = n.values[:, ~full]
+    # both densities side by side in one field: the columns step independently
+    pair = DensityField(np.hstack([n.values, other]), age, SpatialGrid(nx=2 * nx))
+    stepper = Stepper(pair, model, SolverConfig(dt=age.ds / 2))
+    distance = lambda v: age.weights @ np.abs(v[:, :nx] - v[:, nx:])
+    start = last = distance(stepper.values)
+    bound = (age.ns + 8) * np.finfo(float).eps * (start + mass + age.integrate(other))
+    for _ in range(25):
+        stepper.advance(S)
+        now = distance(stepper.values)
+        assert np.all(now - last <= bound), (now - last) / np.maximum(start, UNDERFLOW_FLOOR)
+        last = now
+
+
 def test_positivity_boundary_leaves_no_negative_round_off():
     # ds * p_inf = 2 and lam = 1/2 put both update coefficients exactly at 0 on
     # the firing rows; unclamped, they round to -1.1e-16 and so do the densities
