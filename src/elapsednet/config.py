@@ -48,7 +48,6 @@ class ExperimentConfig:
     picard: str = "lagged"
     picard_tol: float = 1e-10
     picard_max_iters: int = 200
-    picard_damping: float = 0.5
     # firing rate
     rate: str = "step"
     p_inf: float = 1.0
@@ -99,8 +98,7 @@ _KEYS = {
     LearningRule: {"kind": "rule", "gamma": "gamma"},
     InputModel: {"kind": "input", "amplitude": "input_amplitude", "k": "input_scale",
                  "table": "input_table"},
-    PicardOptions: {"mode": "picard", "tol": "picard_tol", "max_iters": "picard_max_iters",
-                    "damping": "picard_damping"},
+    PicardOptions: {"mode": "picard", "tol": "picard_tol", "max_iters": "picard_max_iters"},
     SolverConfig: {"dt": "dt", "epsilon": "epsilon"},
     SolverConfig.validate: {"dt": "dt", "age": "ns"},
     whole_steps: {"t_end": "t_end"},

@@ -55,19 +55,18 @@ def damped_fixed_point(
     x0: np.ndarray,
     tol: float,
     max_iters: int = 200,
-    damping: float = 1.0,
 ) -> PicardResult:
     """Anderson mixing (type II, memory MEMORY) of x -> map(x), x a 1-D array, until the
     sup-residual |map(x) - x| is below tol; without convergence, the last iterate and its
     residual.
 
-    Each step mixes, with weight `damping`, the combination of the last MEMORY + 1
-    iterates of least residual 2-norm with its map value: with no memory, the damped step
-    x + damping (map(x) - x).  The memory is never cleared: a restart after a rise in
-    residual, with its damped step, can cycle on a steep map that mixing solves.  Where
-    the map has several stable states, mixing may settle where plain damped steps do not:
-    on x -> tanh(3x) in R^3 it converged from 0.01 (1, -1, 3) to the unstable point 0, and
-    from 0.1 (1, -1, 3) at damping 1 to another sign pattern.
+    Each step takes the map value of the combination of the last MEMORY + 1 iterates of
+    least residual 2-norm, at mixing weight 1: on an affine map of dimension <= MEMORY this
+    is GMRES, and ends a few steps past the dimension.  The memory is never cleared: a
+    restart after a rise in residual, with its plain step map(x), can cycle on a steep map
+    that mixing solves.  Where the map has several stable states, mixing may settle where
+    plain steps do not: on x -> tanh(3x) in R^3 it converged from 0.01 (1, -1, 3) to the
+    unstable point 0, and from 0.1 (1, -1, 3) to another sign pattern.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -82,7 +81,7 @@ def damped_fixed_point(
         history.append(residual)
         if residual < tol:
             return PicardResult(gx, residual, it, True, history)
-        step = x + damping * f
+        step = x + f
         m = min(it - 1, MEMORY)
         if m:
             dF[1:], dG[1:] = dF[:-1], dG[:-1]
@@ -90,6 +89,6 @@ def damped_fixed_point(
             # matrix-vector products only: lstsq, solve and dgemm fault BLAS pages into RSS
             c = np.array(_least_squares([(dF[:m] @ row).tolist() for row in dF[:m]],
                                         (dF[:m] @ f).tolist()))
-            step -= c @ dG[:m] - (1.0 - damping) * (c @ dF[:m])
+            step -= c @ dG[:m]
         x_last, x, f_last, g_last = x, step, f, gx
     return PicardResult(x_last, residual, max_iters, False, history)

@@ -36,7 +36,6 @@ def inner_fixed_point(
     I_t: np.ndarray,
     S_guess: np.ndarray | None = None,
     tol: float = 1e-12,
-    damping: float = 1.0,
 ) -> np.ndarray:
     """Solve S = integral(w g F(S)) + I by Anderson mixing from S_guess in at most
     INNER_MAX_ITERS iterations."""
@@ -47,7 +46,7 @@ def inner_fixed_point(
         return wq @ (gv * survival_F(model, S)) + I_t
 
     start = I_t if S_guess is None else np.asarray(S_guess, dtype=float)
-    result = damped_fixed_point(apply_map, start, tol, INNER_MAX_ITERS, damping)
+    result = damped_fixed_point(apply_map, start, tol, INNER_MAX_ITERS)
     if not result.converged:
         raise PicardError(
             f"inner stimulation fixed point stalled at residual {result.residual:.3e} "
@@ -83,12 +82,12 @@ def limit_run(
     decay = np.exp(-dt)
 
     w = w0.copy()
-    S = inner_fixed_point(w, g, model, I_vals, S_guess=None, tol=inner_tol, damping=0.5)
+    S = inner_fixed_point(w, g, model, I_vals, S_guess=None, tol=inner_tol)
     N = g * survival_F(model, S)
     recorder.save(0, N, S, g, w.values)
     for step in range(1, recorder.n_steps + 1):
         w.values = decay * w.values + (1.0 - decay) * rule.kernel_target(N)
-        S = inner_fixed_point(w, g, model, I_vals, S_guess=S, tol=inner_tol, damping=1.0)
+        S = inner_fixed_point(w, g, model, I_vals, S_guess=S, tol=inner_tol)
         N = g * survival_F(model, S)
         if recorder.due(step):
             recorder.save(step, N, S, g, w.values)

@@ -61,7 +61,6 @@ class PicardOptions:
     mode: str = "lagged"
     tol: float = 1e-10
     max_iters: int = 200
-    damping: float = 0.5
 
     def __post_init__(self) -> None:
         if self.mode not in ("lagged", "iterate"):
@@ -70,8 +69,6 @@ class PicardOptions:
             raise ModelError(f"tol must be positive and finite, got {self.tol}", field="tol")
         if self.max_iters < 1:
             raise ModelError(f"max_iters must be >= 1, got {self.max_iters}", field="max_iters")
-        if not 0 < self.damping <= 1:
-            raise ModelError(f"damping must lie in (0, 1], got {self.damping}", field="damping")
 
 
 @dataclass(frozen=True)
@@ -382,7 +379,7 @@ def nonlinear_steps(
         return w @ (xw * N) + I_vals
 
     def solve_coupling(S_start: np.ndarray, step: int) -> np.ndarray:
-        result = damped_fixed_point(coupling, S_start, opts.tol, opts.max_iters, opts.damping)
+        result = damped_fixed_point(coupling, S_start, opts.tol, opts.max_iters)
         if not result.converged:
             raise PicardError(f"stimulation iteration stalled at t = {step * cfg.dt:.6g} "
                               f"(residual {result.residual:.3e}); possible "

@@ -50,7 +50,6 @@ def valid_configs(draw) -> ExperimentConfig:
         picard=draw(st.sampled_from(["lagged", "iterate"])),
         picard_tol=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
         picard_max_iters=draw(st.integers(1, 500)),
-        picard_damping=draw(st.floats(0.0, 1.0, exclude_min=True)),
         rate=rate, p_star=draw(p_stars if rate == "smooth" else st.none() | p_stars),
         s_star=draw(finite if rate == "smooth" else st.none() | finite),
         sigma=sigma,
@@ -131,8 +130,8 @@ def small_config_texts(draw) -> str:
         lines["sigma_max"] = draw(st.floats(0.0, 5.0))
     # at most one of these breaks a rule; the last grid is too coarse for its rate while
     # both dt rules hold
-    broken = [{"picard_tol": 0.0}, {"picard_tol": -1e-3}, {"picard_damping": 0.0},
-              {"picard_damping": 1.5}, {"picard_max_iters": 0}, {"picard_max_iters": -3},
+    broken = [{"picard_tol": 0.0}, {"picard_tol": -1e-3}, {"picard_max_iters": 0},
+              {"picard_max_iters": -3},
               {"p_star": -0.25}, {"p_star": 5.0}, {"sigma_max": -0.5}, {"p_inf": 0.0},
               {"gamma": -0.25}, {"input_amplitude": -0.25},
               {"epsilon_list": "2, 1"}, {"epsilon_list": "0.1, 0.2"},

@@ -33,13 +33,12 @@ class TestInnerFixedPoint:
         space = SpatialGrid(nx=8)
         w = ConnectivityKernel.constant(space, 2.0)
         I = np.ones(8)
-        S = inner_fixed_point(w, np.ones(8), step_model(), I, damping=0.5)
+        S = inner_fixed_point(w, np.ones(8), step_model(), I)
         np.testing.assert_allclose(S, math.sqrt(3.0), atol=1e-11)
 
     def test_preset_kernel_in_apriori_band(self):
         exp = build_experiment(get_preset("Lg1i1c").config)
-        S = inner_fixed_point(exp.w0, exp.g, exp.model,
-                              exp.input_model.evaluate(exp.space), damping=0.5)
+        S = inner_fixed_point(exp.w0, exp.g, exp.model, exp.input_model.evaluate(exp.space))
         wq = exp.w0.values * exp.space.weights[None, :]
         F = np.asarray(survival_F(exp.model, S))
         residual = np.abs(wq @ (exp.g * F) + 1.0 - S).max()

@@ -78,10 +78,10 @@ class TestDampedFixedPoint:
         assert res.converged
         assert res.value[0] == pytest.approx(2.0, abs=1e-12)
 
-    def test_oscillating_map_needs_damping(self):
-        # slope -3 at the fixed point: undamped Picard diverges
+    def test_mixing_solves_a_map_on_which_plain_steps_diverge(self):
+        # slope -3 at the fixed point: plain Picard steps x <- map(x) diverge
         res = damped_fixed_point(lambda x: -3.0 * x + 4.0, np.array([0.0]),
-                                 tol=1e-12, max_iters=500, damping=1.0)
+                                 tol=1e-12, max_iters=500)
         assert res.converged
         assert res.value[0] == pytest.approx(1.0, abs=1e-11)
 
@@ -336,8 +336,7 @@ class TestNonlinearRun:
         n0.normalize_mass(1.0)
         w0 = ConnectivityKernel.constant(space, 8.0)
         cfg = SolverConfig(dt=age.ds / 2,
-                           picard=PicardOptions(mode="iterate", tol=1e-14,
-                                                max_iters=2, damping=1.0))
+                           picard=PicardOptions(mode="iterate", tol=1e-14, max_iters=2))
         with pytest.raises(PicardError) as err:
             nonlinear_run(n0, w0, step_model(), LearningRule("hebbian", 1.0),
                           InputModel("constant", amplitude=1.0), cfg,

@@ -6,12 +6,14 @@
 `run` executes each command from the checkout's root with its `src` on PYTHONPATH, into
 <dir>/<name>/out with stdout, stderr and exit code beside (<dir> and the checkout's path
 replaced by tokens).  `compare` lists each differing file; for a CSV or .dat file it gives
-the largest relative deviation of its numbers, nan if a number is not finite on one side."""
+the largest relative deviation of its numbers, and the largest absolute deviation over the
+file's largest finite |value|; each is nan if a number is not finite on one side."""
 
 import os
 import re
 import subprocess
 import sys
+from math import inf
 from pathlib import Path
 
 SMOOTH = "--config bench/configs/g10i1v_smooth.cfg"
@@ -43,19 +45,30 @@ def run(checkout: Path, root: Path) -> None:
         print(f"{name}: exit {proc.returncode}")
 
 
+def _number(field: str) -> float | None:
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
 def max_rel_deviation(a: str, b: str) -> str:
     ta, tb = re.split(r"[\s,]+", a.strip()), re.split(r"[\s,]+", b.strip())
     if len(ta) != len(tb):
         return f"{len(ta)} vs {len(tb)} fields"
-    worst = 0.0
+    largest = max((abs(v) for v in map(_number, ta + tb) if v is not None and abs(v) < inf),
+                  default=0.0)
+    worst = worst_abs = 0.0
     for x, y in ((x, y) for x, y in zip(ta, tb) if x != y):
-        try:
-            fx, fy = float(x), float(y)
-        except ValueError:
+        fx, fy = _number(x), _number(y)
+        if fx is None or fy is None:
             return f"text field {x!r} vs {y!r}"
-        dev = abs(fx - fy) / (max(abs(fx), abs(fy)) or 1.0)
+        diff = abs(fx - fy)
+        dev = diff / (max(abs(fx), abs(fy)) or 1.0)
         worst = max(worst, dev) if dev == dev else dev  # a nan, once met, stays
-    return f"max relative deviation {worst:.3g}"
+        worst_abs = max(worst_abs, diff) if dev == dev else dev
+    return (f"max relative deviation {worst:.3g}, "
+            f"{worst_abs / (largest or 1.0):.3g} of the largest |value| {largest:.3g}")
 
 
 def compare(a: Path, b: Path) -> int:
