@@ -60,13 +60,13 @@ def damped_fixed_point(
     sup-residual |map(x) - x| is below tol; without convergence, the last iterate and its
     residual.
 
-    Each step takes the map value of the combination of the last MEMORY + 1 iterates of
-    least residual 2-norm, at mixing weight 1: on an affine map of dimension <= MEMORY this
-    is GMRES, and ends a few steps past the dimension.  The memory is never cleared: a
-    restart after a rise in residual, with its plain step map(x), can cycle on a steep map
-    that mixing solves.  Where the map has several stable states, mixing may settle where
-    plain steps do not: on x -> tanh(3x) in R^3 it converged from 0.01 (1, -1, 3) to the
-    unstable point 0, and from 0.1 (1, -1, 3) to another sign pattern.
+    Each step is the affine combination of the last MEMORY + 1 map values whose residuals
+    combine to the least 2-norm, at mixing weight 1: on an affine map of dimension
+    <= MEMORY this is GMRES, and ends a few steps past the dimension.  The memory is never
+    cleared: a restart after a rise in residual, with its plain step map(x), can cycle on a
+    steep map that mixing solves.  Where the map has several stable states, mixing may
+    settle where plain steps do not: on x -> tanh(3x) in R^3 it converged from
+    0.01 (1, -1, 3) to the unstable point 0, and from 0.1 (1, -1, 3) to another sign pattern.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
