@@ -349,8 +349,9 @@ def test_equal_mass_densities_contract_at_the_doeblin_rate(data):
     (1 - alpha + C ds) of the start, with C = 0, the continuous rate itself.  C is
     measured, not derived: over 1,500 random problems of this kind the ratio stayed at
     least 0.085 ds below 1 - alpha, and 2.16 ds below it over 378 others, as the scheme's
-    own diffusion mixes further; as alpha goes to 0 the bound becomes the L1 contraction.  The allowance for round-off is the L1 test's per-step bound times the
-    steps.  s_max >= 4 >= 2 s_star keeps the ages that fire on the grid."""
+    own diffusion mixes further; as alpha goes to 0 the bound becomes the L1 contraction.
+    The allowance for round-off is the L1 test's per-step bound times the steps.
+    s_max >= 4 >= 2 s_star keeps the ages that fire on the grid."""
     n = data.draw(grids(st.integers(40, 399), st.floats(4.0, 20.0)))
     age = n.age
     model = data.draw(doeblin_models(age))
