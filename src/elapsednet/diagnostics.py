@@ -169,7 +169,7 @@ def regime_certificates(
     w0: ConnectivityKernel,
     g: np.ndarray,
     input_values: np.ndarray,
-    n0_max: float | None = None,
+    n0_max: float,
 ) -> list[Certificate]:
     """The proof-side sufficient smallness conditions, each with its computed
     left-hand side (threshold 1).  Sufficient, never claimed necessary."""
@@ -181,7 +181,7 @@ def regime_certificates(
 
     certs: list[Certificate] = []
     if model.kind == "step":
-        B = (n0_max if n0_max is not None else 0.0) + model.p_inf * g_max
+        B = n0_max + model.p_inf * g_max
         lhs = model.p_inf * model.sigma.lipschitz * A * B
         certs.append(Certificate(
             "wellposed_step", lhs, lhs < 1.0,

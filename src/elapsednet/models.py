@@ -61,14 +61,6 @@ class SigmaMap:
     def lipschitz(self) -> float:
         return 0.0 if self.kind == "constant" else 1.0
 
-    def sup_over(self, s_lo: float, s_hi: float) -> float:
-        """sup sigma(S) for S in [s_lo, s_hi] (sigma is nondecreasing)."""
-        return self(max(s_lo, s_hi))
-
-    def limit_value(self) -> float:
-        """sigma(S) as S -> infinity (inf for the identity map)."""
-        return self(np.inf)
-
 
 def _by_column(s: np.ndarray, S) -> np.ndarray:
     """The ages s lined up against S: a column, one S value per column, for an array S;
@@ -122,10 +114,9 @@ class FiringRateModel:
         return self.p_inf if self.p_star is None else self.p_star
 
     def pulse_age(self, s_lo: float, s_hi: float) -> float:
-        """s_star valid on the reachable stimulation interval [s_lo, s_hi]."""
-        if self.s_star is not None:
-            return self.s_star
-        return self.sigma.sup_over(s_lo, s_hi)
+        """s_star valid on the reachable stimulation interval [s_lo, s_hi]: sigma is
+        nondecreasing, so the step rate's is sigma(s_hi)."""
+        return self.sigma(s_hi) if self.s_star is None else self.s_star
 
     def evaluate(self, s, S):
         """p(s, S); total function with values in [0, p_inf]."""
@@ -177,7 +168,7 @@ class FiringRateModel:
 
     def limit_model(self) -> "FiringRateModel":
         """The frozen large-stimulation rate p(s, inf) as a constant-threshold model."""
-        return replace(self, sigma=SigmaMap("constant", sigma_max=self.sigma.limit_value()))
+        return replace(self, sigma=SigmaMap("constant", sigma_max=self.sigma(np.inf)))
 
 
 def slaved_profile(model: FiringRateModel, age: AgeGrid, S, g) -> np.ndarray:
@@ -259,25 +250,22 @@ def survival_F(model: FiringRateModel, S):
     return float(F[0]) if S_arr.ndim == 0 else F.reshape(S_arr.shape)
 
 
-def F_bounds(model: FiringRateModel, S_lo: float, S_hi: float,
-             n: int = 201) -> tuple[float, float]:
-    """Bounds (sup |F'|, sup F) over [S_lo, S_hi].
+def F_bounds(model: FiringRateModel, S_lo: float, S_hi: float) -> tuple[float, float]:
+    """Bounds (sup |F'|, sup F) over [S_lo, S_hi]: (F(S0)^2, F(S_lo)), with S0 the lowest S
+    of the band where sigma rises (S >= 0, below a bounded map's cap), or 0 for the slope
+    where it never does.
 
-    For the step kind both are exact: F = 1/(1/p_inf + sigma(S)) is non-increasing with
-    |F'| = sigma' F^2, so sup F = F(S_lo) and sup |F'| = F(S0)^2 at the lowest S0 of the
-    band where sigma rises (S >= 0, below a bounded map's cap), or 0 where it never does.
-    The smooth kind samples F at n points: the largest slope x 1.05 and the largest value.
+    Both rate kinds are p(s, S) = max(p_inf ramp((s - sigma(S)) / theta), floor(s)), the
+    step's ramp a unit jump and its floor 0, and the floor does not depend on S.  So
+    |dH/dS| <= sigma' p_inf ramp(..) <= sigma' p, and |d(1/F)/dS| <= sigma' int p e^{-H} ds
+    <= sigma', which is |F'| <= sigma' F^2; p, and with it F, does not increase with S.
+    For the step kind, F = 1/(1/p_inf + sigma(S)), both bounds are exact.
     """
     S_hi = max(S_hi, S_lo + 1e-9)  # degenerate band: probe a point neighborhood
-    if model.kind == "step":
-        S0 = max(S_lo, 0.0)
-        rises = model.sigma.lipschitz > 0 and S0 < min(S_hi, model.sigma.limit_value())
-        F0 = survival_F(model, S0)
-        return F0 * F0 if rises else 0.0, survival_F(model, S_lo)
-    S_vals = np.linspace(S_lo, S_hi, n)
-    F_vals = np.asarray(survival_F(model, S_vals))
-    slopes = np.abs(np.diff(F_vals) / np.diff(S_vals))
-    return float(slopes.max() * 1.05), float(F_vals.max())
+    S0 = max(S_lo, 0.0)
+    rises = model.sigma.lipschitz > 0 and S0 < min(S_hi, model.sigma(np.inf))
+    F0 = survival_F(model, S0)
+    return F0 * F0 if rises else 0.0, survival_F(model, S_lo)
 
 
 @dataclass(frozen=True)
@@ -394,7 +382,7 @@ def check_reachable_threshold(age: AgeGrid, model: FiringRateModel, rule: Learni
     sup sigma over the stimulation band of `stimulation_bounds`.  A threshold infinite
     on the whole band (a constant sigma = inf) never fires and is pure transport."""
     lo, hi = stimulation_bounds(model, rule, w0_max, g_max, input_values)
-    threshold = model.sigma.sup_over(lo, hi)
+    threshold = model.sigma(hi)
     if threshold >= age.s_max and model.sigma(lo) < np.inf:
         raise GridError(
             f"s_max = {age.s_max} must strictly exceed the reachable firing "

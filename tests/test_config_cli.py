@@ -1,6 +1,7 @@
 import os
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +215,20 @@ class TestCLI:
         assert float(res[0].split("=")[1]) < 1e-10
         assert (out / "stationary.csv").exists()
         assert (out / "w_star.csv").exists()
+
+    def test_stationary_contraction_lines_agree(self, tmp_path):
+        # the command forms its certificate on the band of a zero kernel and the regime
+        # certificates on the initial kernel's: both bands start at min I, and F_bounds
+        # reads only a band's low end, so the two lines print one number
+        smooth = Path(__file__).resolve().parents[1] / "bench" / "configs" / "g10i1v_smooth.cfg"
+        text = smooth.read_text()
+        assert "gamma = 10.0" in text
+        config, out = tmp_path / "smooth.cfg", tmp_path / "st"
+        config.write_text(text.replace("gamma = 10.0", "gamma = 1.0"))
+        assert run_cli("stationary", "--config", str(config), "--out", str(out)) == 0
+        summary = (out / "summary.txt").read_text()
+        bound = re.search(r"^contraction certificate: bound = (\S+)", summary, re.M)[1]
+        assert re.search(r"^stationary_contraction: lhs = (\S+)", summary, re.M)[1] == bound
 
     def test_doeblin_subcommand(self, tmp_path):
         out = tmp_path / "db"

@@ -176,7 +176,8 @@ class TestCertificates:
 
     def test_smooth_variant_uses_dpdS(self):
         model, rule, w0, g, I, n0_max = self.setup_args(1.0, kind="smooth")
-        certs = {c.name: c for c in regime_certificates(model, rule, w0, g, I)}
+        certs = {c.name: c for c in regime_certificates(model, rule, w0, g, I,
+                                                        n0_max=n0_max)}
         assert "wellposed_smooth" in certs
         A = max(float(w0.values.max()), rule.gamma)
         assert certs["wellposed_smooth"].lhs == pytest.approx(1.0 * 1.0 * 3.0 * A, rel=1e-12)

@@ -99,7 +99,8 @@ class TestLimitRun:
     def limit_uniqueness(cfg):
         exp = build_experiment(cfg)
         certs = regime_certificates(exp.model, exp.rule, exp.w0, exp.g,
-                                    exp.input_model.evaluate(exp.space))
+                                    exp.input_model.evaluate(exp.space),
+                                    n0_max=float(exp.n0.values.max()))
         return next(c for c in certs if c.name == "limit_uniqueness")
 
     def test_uniqueness_certificate(self):

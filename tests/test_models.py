@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elapsednet.grids import AgeGrid, GridError, SpatialGrid
@@ -12,6 +12,8 @@ from elapsednet.models import (
     InputModel,
     LearningRule,
     F_bounds,
+    MAX_RAMP_REFINE,
+    RAMP_INTERVALS,
     ModelError,
     SigmaMap,
     slaved_profile,
@@ -32,6 +34,20 @@ def smooth_model(theta, p_inf=1.0, p_star=1.0, s_star=None, sigma_kind="identity
         s_star = 12.0  # beyond any sigma(S) sampled in these tests, plus theta
     return FiringRateModel(kind="smooth", p_inf=p_inf, sigma=sigma, p_star=p_star,
                            s_star=s_star, theta=theta)
+
+
+@st.composite
+def rate_models(draw):
+    """Either rate kind at p_inf 0.05-20 over every sigma kind; the smooth kind with theta
+    0.01-5, p_star <= p_inf and s_star -2-15, which may fall inside the ramp or below 0."""
+    p_inf = draw(st.floats(0.05, 20.0))
+    kind = draw(st.sampled_from(["identity", "bounded", "constant"]))
+    sigma = SigmaMap(kind, sigma_max=None if kind == "identity" else draw(st.floats(0.0, 10.0)))
+    if draw(st.booleans()):
+        return FiringRateModel(kind="step", p_inf=p_inf, sigma=sigma)
+    return FiringRateModel(kind="smooth", p_inf=p_inf, sigma=sigma,
+                           p_star=draw(st.floats(0.0, 1.0)) * p_inf,
+                           s_star=draw(st.floats(-2.0, 15.0)), theta=draw(st.floats(0.01, 5.0)))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -217,28 +233,51 @@ class TestSurvivalF:
             assert np.all(np.diff(F) <= 1e-12)
 
     def test_lipschitz_bound_from_structure(self):
-        # |F'| <= p_inf^2 ||dp/dS|| (s*^2/2 + s*/p* + 1/p*^2), sampled S in [0, 10]
+        # |F'| <= p_inf^2 ||dp/dS|| (s*^2/2 + s*/p* + 1/p*^2) for S in [0, 10]
         m = smooth_model(0.5, p_star=0.8, s_star=11.0)
-        sampled = F_bounds(m, 0.0, 10.0, n=101)[0] / 1.05
         s_star, p_star = m.s_star, m.p_star
         bound = m.p_inf**2 * m.dpdS_bound * (s_star**2 / 2 + s_star / p_star + 1 / p_star**2)
-        assert sampled <= bound
+        assert F_bounds(m, 0.0, 10.0)[0] <= bound
 
-    @settings(deadline=None)
-    @given(p_inf=st.floats(0.05, 20.0),
-           sigma_kind=st.sampled_from(["identity", "bounded", "constant"]),
-           sigma_max=st.floats(0.0, 10.0), lo=st.floats(-5.0, 15.0), width=st.floats(1e-3, 20.0))
-    def test_step_F_bounds_hold_every_slope(self, p_inf, sigma_kind, sigma_max, lo, width):
-        model = step_model(p_inf, sigma_kind, None if sigma_kind == "identity" else sigma_max)
+    @settings(deadline=None, max_examples=60)
+    @given(model=rate_models(), lo=st.floats(-5.0, 15.0), width=st.floats(1e-3, 20.0))
+    @example(model=FiringRateModel(kind="smooth", p_inf=0.80042, sigma=SigmaMap("identity"),
+                                   p_star=0.081996, s_star=7.3828, theta=4.2815),
+             lo=3.65269, width=0.07559)  # a slope at S_lo 1.07e-6 above F(S_lo)^2 at 10,000 S
+    @example(model=smooth_model(0.03125, p_inf=8.0, p_star=0.0, s_star=0.0), lo=0.0,
+             width=3.0)  # slope 48.135 at S = 0: 201 samples times 1.05 gave 48.103
+    def test_F_bounds_hold_every_slope(self, model, lo, width):
+        """Every difference slope of F over the band is at most F_bounds' sup |F'|, and its
+        sup F is the largest F.  Round-off: the step's F rounds 3 times (1.5 eps relative);
+        the smooth ramp is a sum of n + 2 positive terms, each within 6 eps, so its F is
+        within (n + 8) eps.  A difference is off by twice that times max F over the
+        smallest step, and the quotient adds 2 eps relative.
+
+        Quadrature slack, smooth kind only: the quadrature's F keeps the bound as
+        long as the ramp's n intervals move with sigma(S), but where s_star falls inside
+        the ramp it splits one interval at a fixed age.  Moving a cut in an interval of
+        width h = theta / n changes its trapezoid error by at most h^2 max|p''| / 4 =
+        1.5 p_inf / n^2 per unit sigma (|p''| <= 6 p_inf / theta^2), and the survival
+        mass past the cut is at most 1/F, so the slope may exceed sigma' F^2 by
+        1.5 p_inf F / n^2.  At 10,000 S the tight example above uses 0.9% of it.
+
+        The smooth grid has 401 points: survival_F holds four (points x ramp nodes)
+        arrays, up to 1,283 nodes here, and takes 15-40 ms on them."""
+        S = np.linspace(lo, lo + width, 10_000 if model.kind == "step" else 401)
         lip, sup = F_bounds(model, lo, lo + width)
-        S = np.linspace(lo, lo + width, 10_000)
         F = np.asarray(survival_F(model, S))
         h = np.diff(S)
-        # F rounds 3 times (1.5 eps relative), so a difference is off by at most 3 eps max F;
-        # twice that over the smallest step, and 2 eps relative for the quotient's roundings
         eps = np.finfo(float).eps
-        assert np.max(np.abs(np.diff(F)) / h) <= lip * (1 + 2 * eps) + 6 * eps * F.max() / h.min()
-        assert sup == F.max()
+        if model.kind == "step":
+            rounding, slack, ulps = 3 * eps, 0.0, 0
+        else:
+            n = RAMP_INTERVALS * max(1, math.ceil(min(math.sqrt(model.p_inf * model.theta),
+                                                      MAX_RAMP_REFINE)))
+            rounding, slack, ulps = (n + 8) * eps, 1.5 * model.p_inf / n**2, 4
+        slopes = np.abs(np.diff(F)) / h
+        assert slopes.max() <= lip * (1 + 2 * eps) + (2 * rounding / h.min() + slack) * F.max()
+        # sup is F(S_lo) by the scalar path of survival_F, which differs by an ulp or two
+        assert abs(sup - F.max()) <= ulps * np.spacing(F.max())
 
     def test_subnormal_rate_gives_a_vanishing_F(self):
         # p_inf theta underflows to 0 and 1/p_inf overflows: F is 0 to double precision

@@ -57,7 +57,8 @@ def weak_runs(draw):
                              amplitude=draw(st.floats(0.2, 2.0)))
     n0 = DensityField.from_function(age, space, lambda s, x: (x + 1) * np.exp(-s * (x + 1)))
     n0.normalize_mass(1.0)
-    certs = regime_certificates(model, rule, w0, n0.mass(), input_model.evaluate(space))
+    certs = regime_certificates(model, rule, w0, n0.mass(), input_model.evaluate(space),
+                                n0_max=float(n0.values.max()))
     assume(next(c for c in certs if c.name == "limit_uniqueness").holds)
     return n0, w0, model, rule, input_model
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from elapsednet.grids import AgeGrid, ConnectivityKernel, DensityField, SpatialGrid
+from elapsednet.grids import AgeGrid, ConnectivityKernel, DensityField, SpatialGrid, norms
 from elapsednet.models import FiringRateModel, InputModel, LearningRule, SigmaMap
 from elapsednet.renewal import (
     BLOCK_ROWS,
@@ -23,6 +23,7 @@ from elapsednet.renewal import (
     Recorder,
     SolverConfig,
     Stepper,
+    characteristics_oracle,
     linear_step,
     nonlinear_run,
     nonlinear_steps,
@@ -121,9 +122,10 @@ def assert_zones_rebuild_the_full_fill(stepper, S):
     np.testing.assert_array_equal(stepper.r_max, rates.max())
 
 
-def rate_models(age: AgeGrid):
-    """Step and smooth rates with ds * p_inf <= 2, the stepper's coarse-grid bound."""
-    p_inf = DS_RATE.map(lambda x: x / age.ds)
+def rate_models(age: AgeGrid, ds_rate=DS_RATE):
+    """Step and smooth rates with ds * p_inf from ds_rate: by default up to 2, the stepper's
+    coarse-grid bound."""
+    p_inf = ds_rate.map(lambda x: x / age.ds)
     step = st.builds(FiringRateModel, kind=st.just("step"), p_inf=p_inf, sigma=sigma_maps(age))
     smooth = st.tuples(p_inf, st.floats(0.0, 1.0), sigma_maps(age),
                        st.floats(-1.0, age.s_max + 1.0), st.floats(1e-3, 2.0 * age.s_max)).map(
@@ -363,6 +365,43 @@ def test_equal_mass_densities_contract_at_the_doeblin_rate(data):
     for _ in range(steps):
         stepper.advance(np.zeros(2 * n.space.nx))
     assert np.all(distance(stepper.values) <= (1.0 - alpha) * start + steps * bound)
+
+
+HALVING_FACTOR = 1.2
+
+
+@settings(deadline=None, max_examples=15)
+@given(data=st.data())
+def test_error_to_the_oracle_falls_as_ds_halves(data):
+    """First-order convergence to the characteristics oracle.  At a frozen S (three
+    columns, s_max = 4) the Gaussian of criterion 2 is stepped to t = 1 at dt = ds/2 on
+    ds = 1/25, 1/50 and 1/100, with ds * p_inf <= 1/2 on the coarsest grid.  Over the two
+    halvings the L1 error must fall by HALVING_FACTOR^2 = 1.44.
+
+    The factor is measured and argued, not derived.  Where the rate is positive on n0's
+    support the renewal flux N(0) differs from n0(0), and the solution carries that jump
+    along s = t: upwind steps smear a jump over a width of order sqrt(ds), so its L1 error
+    falls by sqrt(2) per halving, the smooth rest by 2.  Over 1,500 draws of this test
+    the smallest factor per halving, averaged over the two, was 1.25.  One halving alone
+    may not cut the error (it rose on 7 of those draws, by up to 1/0.88): the smooth
+    rate jumps at s_star or across a ramp narrower than a cell, which the trapezoid of
+    p at the cell edges places to within a cell, so that error's constant depends on
+    where the jump falls in its cell.  Rates near the positivity bound are not yet in
+    this regime on these grids: in a probe at ds * p_inf = 1.8 the factor read 1.05."""
+    coarse = AgeGrid(ns=100, s_max=4.0)
+    model = data.draw(rate_models(coarse, st.floats(0.0, 0.5, exclude_min=True)))
+    S = np.array(data.draw(st.lists(st.floats(-0.5, 2.5), min_size=3, max_size=3)))
+    errors = []
+    for ns in (100, 200, 400):
+        age = AgeGrid(ns=ns, s_max=coarse.s_max)
+        n0 = DensityField.from_function(age, SpatialGrid(nx=3),
+                                        lambda s, x: np.exp(-(((s - 0.55) / 0.12) ** 2)) + 0 * x)
+        stepper = Stepper(n0, model, SolverConfig(dt=age.ds / 2))
+        for _ in range(round(1.0 / (age.ds / 2))):
+            stepper.advance(S)
+        oracle = characteristics_oracle(n0, S, model, t=1.0)
+        errors.append(norms(DensityField(stepper.values, age, n0.space), oracle)["L1_sx"])
+    assert errors[2] <= errors[0] / HALVING_FACTOR**2, errors
 
 
 def test_positivity_boundary_leaves_no_negative_round_off():

@@ -7,8 +7,11 @@
 <dir>/<name>/out with stdout, stderr and exit code beside (<dir> and the checkout's path
 replaced by tokens).  `compare` lists each differing file; for a CSV or .dat file it gives
 the largest relative deviation of its numbers, and the largest absolute deviation over the
-file's largest finite |value|; each is nan if a number is not finite on one side."""
+file's largest finite |value|; each is nan if a number is not finite on one side.  For any
+other file (summary.txt, MANIFEST, stdout, ...) it prints the differing lines of both sides,
+the first directory's marked '-' and the second's '+'."""
 
+import difflib
 import os
 import re
 import subprocess
@@ -71,6 +74,12 @@ def max_rel_deviation(a: str, b: str) -> str:
             f"{worst_abs / (largest or 1.0):.3g} of the largest |value| {largest:.3g}")
 
 
+def differing_lines(a: str, b: str) -> str:
+    lines = [line for line in difflib.ndiff(a.splitlines(), b.splitlines())
+             if line[:2] in ("- ", "+ ")]
+    return f"{len(lines)} lines" + "".join(f"\n    {line}" for line in lines)
+
+
 def compare(a: Path, b: Path) -> int:
     files_a, files_b = ({p.relative_to(d) for p in d.rglob("*") if p.is_file()} for d in (a, b))
     for rel in sorted(files_a ^ files_b):
@@ -78,8 +87,9 @@ def compare(a: Path, b: Path) -> int:
     differ = [rel for rel in sorted(files_a & files_b)
               if (a / rel).read_bytes() != (b / rel).read_bytes()]
     for rel in differ:
-        detail = (max_rel_deviation((a / rel).read_text(), (b / rel).read_text())
-                  if rel.suffix in (".csv", ".dat") else "bytes differ")
+        text_a, text_b = (a / rel).read_text(), (b / rel).read_text()
+        detail = (max_rel_deviation(text_a, text_b) if rel.suffix in (".csv", ".dat")
+                  else differing_lines(text_a, text_b))
         print(f"differs: {rel}: {detail}")
     print(f"{len(files_a & files_b) - len(differ)} identical, {len(differ)} differ, "
           f"{len(files_a ^ files_b)} unmatched")
