@@ -190,7 +190,7 @@ class Stepper:
         self.scratch = np.empty((min(BLOCK_ROWS, n.age.ns - 1), n.space.nx))
         self.ones = np.ones(n.age.ns)  # column sums as BLAS products
         (self.B0, self.B1), (self.A0, self.A1) = self.coefficients(np.array([0.0, model.p_inf]))
-        self.edges = n.age.nodes
+        self.edges, self.cols = n.age.nodes, np.arange(n.space.nx)  # cols: activity's gathers
         self.nbar = self.suffix = None  # formed by the step-kind `activity`
         self.steps, self.formed = 0, 0  # rows of nbar and the suffix sums formed
 
@@ -208,7 +208,7 @@ class Stepper:
         trials of the field read, N = ds p_inf (C_{k+1} + frac_k nbar_k) costs O(nx) per
         trial.  The smooth kind sums the zones.
         """
-        model, ds = self.model, self.age.ds
+        model, ds, cols = self.model, self.age.ds, self.cols
         if model.kind != "step":
             return self.flux(S)
         if self.suffix is None:  # C_{ns-1} = 0
@@ -217,9 +217,8 @@ class Stepper:
         k = self.threshold_cell(sig)
         while self.formed < min(int(k.max()) + 2, self.age.ns - 1):  # rows 0..k+1
             self.suffix_block()
-        frac = np.minimum(1.0, np.maximum(0.0, (self.edges[k + 1] - sig) / ds))
-        cols = np.arange(len(k))
-        return ds * model.p_inf * (self.suffix[k + 1, cols] + frac * self.nbar[k, cols])
+        frac = np.minimum(1.0, np.maximum(0.0, (self.edges[1:][k] - sig) / ds))  # s_{k+1}
+        return ds * model.p_inf * (self.suffix[1:][k, cols] + frac * self.nbar[k, cols])
 
     def suffix_block(self) -> None:
         """nbar and C on the next SUFFIX_ROWS rows [a, e): a reversed cumsum plus one column
@@ -234,8 +233,7 @@ class Stepper:
 
     def threshold_cell(self, sig: np.ndarray) -> np.ndarray:
         """Per column the cell k with s_k <= sigma < s_{k+1}, clipped to the grid."""
-        k = np.searchsorted(self.edges, sig, side="right") - 1
-        return np.minimum(len(self.edges) - 2, np.maximum(0, k))
+        return np.searchsorted(self.edges[1:-1], sig, side="right")
 
     def set_rates(self, S: np.ndarray) -> None:
         """The band [lo, hi) at S, its `rates` and `coefficients` B and A, and the field's

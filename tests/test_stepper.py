@@ -95,6 +95,30 @@ def test_fast_activity_matches_interval_quadrature(data):
     np.testing.assert_array_equal(stepper.activity(S), fast)
 
 
+@settings(deadline=None)
+@given(data=st.data())
+def test_threshold_cell_is_the_clipped_search_over_all_nodes(data):
+    """`threshold_cell` searches the interior nodes only: it must give the cell of the
+    search over all nodes, less one and clipped to [0, ns - 2], on a node, one ulp either
+    side of one, below 0, beyond s_max, at +-inf and at NaN, for arrays and scalars."""
+    n = data.draw(grids(SUFFIX_SPANS))
+    nodes, ns = n.age.nodes, n.age.ns
+    node = st.integers(0, ns - 1).map(lambda i: float(nodes[i]))
+    sig = np.array(data.draw(st.lists(st.one_of(
+        node,
+        node.map(lambda v: float(np.nextafter(v, -np.inf))),
+        node.map(lambda v: float(np.nextafter(v, np.inf))),
+        st.floats(max_value=0.0, allow_nan=False),
+        st.floats(min_value=n.age.s_max, allow_nan=False),
+        st.sampled_from([np.inf, -np.inf, np.nan]),
+    ), min_size=1, max_size=8)))
+    model = FiringRateModel(kind="step", p_inf=1.0 / n.age.ds, sigma=SigmaMap("identity"))
+    stepper = Stepper(n, model, SolverConfig(dt=n.age.ds / 2))
+    expected = np.clip(np.searchsorted(nodes, sig, side="right") - 1, 0, ns - 2)
+    np.testing.assert_array_equal(stepper.threshold_cell(sig), expected)
+    assert [int(stepper.threshold_cell(v)) for v in sig] == expected.tolist()
+
+
 def _full_arrays(stepper):
     """The field-size rates, B and A that a Stepper's zones stand for: the scalars below
     `lo` and from `hi` on, the band's arrays between."""
