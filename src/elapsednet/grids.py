@@ -30,8 +30,10 @@ class GridError(FieldError, ValueError):
 
 def whole_steps(t: float, dt: float, field: str = "t_end") -> int:
     """The number of steps of size dt that make up t, refused with a GridError naming
-    `field` unless t is a whole multiple of dt to a relative 1e-9."""
-    steps = int(round(t / dt))
+    `field` unless t / dt is finite and t a whole multiple of dt to a relative 1e-9."""
+    if not np.isfinite(steps := t / dt):
+        raise GridError(f"{field} = {t} is no finite number of steps of dt = {dt}", field=field)
+    steps = int(round(steps))
     if abs(steps * dt - t) > 1e-9 * max(1.0, t):
         raise GridError(f"{field} = {t} is not a multiple of dt = {dt}", field=field)
     return steps

@@ -86,7 +86,7 @@ def limit_run(
     N = g * survival_F(model, S)
     recorder.save(0, N, S, g, w.values)
     for step in range(1, recorder.n_steps + 1):
-        w.values = decay * w.values + (1.0 - decay) * rule.kernel_target(N)
+        rule.relax(w.values, N, decay)
         S = inner_fixed_point(w, g, model, I_vals, S_guess=S, tol=inner_tol)
         N = g * survival_F(model, S)
         if recorder.due(step):

@@ -300,6 +300,13 @@ class LearningRule:
         N = np.asarray(N, dtype=float)
         return self.gamma * self.evaluate(N[:, None], N[None, :])
 
+    def relax(self, w: np.ndarray, N: np.ndarray, decay: float) -> None:
+        """w <- decay w + (1 - decay) kernel_target(N), in place and rounded as written."""
+        target = self.kernel_target(N)
+        target *= 1.0 - decay
+        w *= decay
+        w += target
+
     def warn_if_unnormalized(self, N_max: float) -> None:
         """The Hebbian rule can exceed 1 on large activities; warn, never reject.  A rule of
         gain 0 never moves the kernel and stays silent."""

@@ -15,13 +15,14 @@ drifts only by the telescoped boundary mismatch (N - n_0)(ds/2 - dt/eps)
 otherwise.  Pairing the loss term with the same interval means gives the
 scheme a Crank-Nicolson stationary profile, accurate to O(ds^2).
 
-One `Stepper` takes every upwind step in place, as new_i = A_i n_i +
-B_i n_{i-1} with B = lam - dt r_i/(2 eps) and A = B + 1 - 2 lam, in blocks of
-rows that stay in cache.  At a given S every interval below a band of rows
-fires at exactly 0 and every one above it at exactly p_inf; for the step rate
-the band is the threshold cells and the cell above them.  Those two zones are
-swept with scalar coefficients, and N is the band's product plus p_inf times
-one column sum over the top zone.  For the step rate each trial activity of an
+One `Stepper` takes every upwind step in place, as new_i = A_i n_i + B_i
+n_{i-1} with B = lam - dt r_i/(2 eps) and A = B + 1 - 2 lam, in blocks of rows
+that stay in cache, and checks the field by one minimum.  At a given S every
+interval below a band of rows fires at exactly 0 and every one above it at
+exactly p_inf; for the step rate the band is the threshold cells and the cell
+above them.  Those two zones are swept with scalar coefficients, and N is the
+band's product plus p_inf times one column sum over the top zone, which both
+fluxes of a lagged step share.  For the step rate each trial activity of an
 iterated coupling costs O(nx), from the suffix sums C_k of the interval means,
 formed by blocks of rows up to the highest threshold cell the trials reach.
 
@@ -140,14 +141,15 @@ class RunRecord:
 
 
 class Recorder:
-    """Rows every `save_every` (default t_end), at `snapshot_times` and at t_end;
-    kernel snapshots at the snapshot times and t_end."""
+    """Rows every `save_every` (default t_end; past t_end it records as t_end does), at
+    `snapshot_times` and at t_end; kernel snapshots at the snapshot times and t_end."""
 
     def __init__(self, space: SpatialGrid, dt: float, t_end: float,
                  save_every: float | None = None, snapshot_times: tuple[float, ...] = ()):
         self.n_steps = whole_steps(t_end, dt)
         self.space, self.dt = space, dt
-        self.stride = max(1, int(round((t_end if save_every is None else save_every) / dt)))
+        every = t_end if save_every is None else min(save_every, t_end)
+        self.stride = max(1, int(round(every / dt)))
         self.snap_steps = {int(round(ts / dt)) for ts in snapshot_times} | {self.n_steps}
         self.series: tuple[list, ...] = ([], [], [], [], [], [])  # t, N, S, mass, <w>, |w - <w>|
         self.w_snaps = {}  # t -> kernel
@@ -176,9 +178,9 @@ class Stepper:
     at trial S (iterated), then `advance` at S.  `set_rates` splits the rows into zones:
     in every column the rows below `lo` fire at exactly 0 and those from `hi` on at
     exactly p_inf, so they are swept with the scalars (A0, B0) and (A1, B1); only the
-    band [lo, hi) holds its `rates`, `A` and `B`.  A lagged run holds one field-size
-    buffer, `values`, and a block of `scratch`; the step-kind `activity` adds nbar and
-    the suffix sums.
+    band [lo, hi) holds its `rates`, `A` and `B`; `flux` keeps the top zone's column sum
+    `T` formed at hi = `T_hi`.  A lagged run holds one field-size buffer, `values`, and a
+    block of `scratch`; the step-kind `activity` adds nbar and the suffix sums.
     """
 
     def __init__(self, n: DensityField, model: FiringRateModel, cfg: SolverConfig):
@@ -192,13 +194,15 @@ class Stepper:
         (self.B0, self.B1), (self.A0, self.A1) = self.coefficients(np.array([0.0, model.p_inf]))
         self.edges, self.cols = n.age.nodes, np.arange(n.space.nx)  # cols: activity's gathers
         self.nbar = self.suffix = None  # formed by the step-kind `activity`
-        self.steps, self.formed = 0, 0  # rows of nbar and the suffix sums formed
+        self.steps, self.formed, self.T_hi = 0, 0, -1  # rows of nbar and C formed; T's hi
 
     def coefficients(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """B = lam - h r and A = B + 1 - 2 lam, clamped at 0 against round-off: B >= 0 as
         ds p_inf <= 2, and A >= 0 under the positivity check."""
-        B = np.maximum(self.lam - rates * self.h, 0.0)
-        return B, np.maximum(B + (1.0 - 2.0 * self.lam), 0.0)
+        B = rates * -self.h
+        B += self.lam
+        A = np.maximum(B, 0.0, out=B) + (1.0 - 2.0 * self.lam)
+        return B, np.maximum(A, 0.0, out=A)
 
     def activity(self, S: np.ndarray) -> np.ndarray:
         """N = ds sum_i r_i(S) nbar_i of the field, one value per x.
@@ -241,12 +245,12 @@ class Stepper:
         min(sigma, s_star) for the smooth kind) end at or below it; rows from the second
         cell above the one where it reaches p_inf (sigma, or sigma + theta) fire at p_inf,
         as one ulp below an edge the cell above the threshold cell can fire below p_inf.
-        A NaN threshold gives NaN rates on every row."""
+        A NaN threshold, the min of `zero` then, gives NaN rates on every row."""
         model, rows = self.model, self.age.ns - 1
         sig = model.sigma(S)
         zero, full = ((sig, sig) if model.kind == "step"
                       else (np.minimum(sig, model.s_star), sig + model.theta))
-        self.lo = 0 if np.isnan(sig).any() else int(self.threshold_cell(zero.min()))
+        self.lo = 0 if np.isnan(low := zero.min()) else int(self.threshold_cell(low))
         self.hi = min(int(self.threshold_cell(full.max())) + 2, rows)
         self.rates = model.interval_rates(self.age, S, self.lo, self.hi)
         self.B, self.A = self.coefficients(self.rates)
@@ -254,15 +258,16 @@ class Stepper:
 
     def flux(self, S: np.ndarray | None = None) -> np.ndarray:
         """N = ds sum_i r_i nbar_i of the field at the zones set at S, or last set: the
-        band's product plus p_inf (2 T + v_hi + v_{ns-1}) over the top zone, with
-        T = ones @ v[hi+1:-1] one column sum.  Every term is nonnegative: nothing cancels."""
+        band's product plus p_inf (2 T + v_hi + v_{ns-1}) over the top zone, T = ones @
+        v[hi+1:-1] kept with its hi until `advance`.  No term is negative: nothing cancels."""
         if S is not None:
             self.set_rates(S)
         v, lo, hi = self.values, self.lo, self.hi
         total = self.ones[: hi - lo] @ (self.rates * (v[lo:hi] + v[lo + 1 : hi + 1]))
         if hi < len(v) - 1:
-            total += self.model.p_inf * (2.0 * (self.ones[hi + 2 :] @ v[hi + 1 : -1])
-                                         + v[hi] + v[-1])
+            if self.T_hi != hi:  # kept while the field and hi stay
+                self.T_hi, self.T = hi, self.ones[hi + 2 :] @ v[hi + 1 : -1]
+            total += self.model.p_inf * (2.0 * self.T + v[hi] + v[-1])
         return 0.5 * self.age.ds * total
 
     def advance(self, S: np.ndarray) -> np.ndarray:
@@ -271,7 +276,7 @@ class Stepper:
         new_i = A_i v_i + B_i v_{i-1} is v_i - lam (v_i - v_{i-1}) - (dt/eps) r_i nbar_i,
         so lam = 1 with r = 0 (A = 0, B = 1) shifts exactly.  The absorbing row, (A + B) v
         + 2 B v_{ns-2}, goes first, then each zone's blocks from the top: row i reads the
-        old v_{i-1}.
+        old v_{i-1}.  Last, one minimum over the field, N in row 0 too, checks it.
         """
         self.set_rates(S)
         lam, v, lo, hi, top = self.lam, self.values, self.lo, self.hi, self.age.ns - 2
@@ -281,7 +286,6 @@ class Stepper:
         N = self.activity(S) if self.formed else self.flux()  # the suffix sums when formed
         A, B = (self.A1, self.B1) if hi <= top else (self.A[-1], self.B[-1])
         v[-1] = (A + B) * v[-1] + 2.0 * B * v[-2]
-        low = np.minimum(N.min(), v[-1].min())  # np.minimum, unlike min(), keeps a NaN
         for z0, z1, A, B in ((hi, top, self.A1, self.B1), (lo, min(hi, top), self.A, self.B),
                              (0, lo, self.A0, self.B0)):
             for a in reversed(range(z0, z1, BLOCK_ROWS)):
@@ -290,11 +294,10 @@ class Stepper:
                 scratch = np.multiply(Bb, v[a:b], out=self.scratch[: b - a])
                 v[a + 1 : b + 1] *= Ab
                 v[a + 1 : b + 1] += scratch
-                low = np.minimum(low, v[a + 1 : b + 1].min())
         v[0] = N
-        self.formed = 0
+        self.formed, self.T_hi = 0, -1
         self.steps += 1
-        if not low >= NEGATIVE_SENTINEL:  # NaN fails this comparison too
+        if not (low := v.min()) >= NEGATIVE_SENTINEL:  # a NaN is the min and fails this too
             raise NegativeDensityError(
                 f"density reached {low:.3e} at t = {self.steps * self.cfg.dt:.6g}")
         return N
@@ -402,7 +405,7 @@ def nonlinear_steps(
         N = stepper.advance(S)
 
         # (iv): exact exponential kernel relaxation with N frozen
-        w = decay * w + (1.0 - decay) * rule.kernel_target(N)
+        rule.relax(w, N, decay)
 
         if recorder.due(step):  # the mass is integrated on recorded steps only
             recorder.save(step, N, S, age.integrate(stepper.values), w)

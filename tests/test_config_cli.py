@@ -439,6 +439,17 @@ class TestCLI:
         manifest = (out / "MANIFEST").read_text()
         assert "status = incomplete" in manifest and "not a multiple of dt" in manifest
 
+    def test_epsilon_of_too_many_steps_is_incomplete(self, tmp_path, capsys):
+        # a subnormal epsilon's step divides t_end into an infinite number of steps
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("nx = 4\nt_end = 0.5\nepsilon_list = 1e-310\n")
+        out = tmp_path / "out"
+        assert run_cli("epsilon-study", "--config", str(cfg_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "epsilon 1e-310" in err and "finite number of steps" in err
+        assert "Traceback" not in err
+        assert "status = incomplete" in (out / "MANIFEST").read_text()
+
     def test_epsilon_study_takes_the_picard_flags(self, monkeypatch, tmp_path):
         seen = {}
 
@@ -468,6 +479,34 @@ class TestCLI:
         assert code == 2
         assert "key 't_end'" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(COMMAND_CSVS) + ["doeblin", "run --config"])
+    def test_t_end_of_too_many_steps_is_refused(self, command, tmp_path, capsys):
+        # 1e308 / dt overflows to inf, which has no whole number of steps
+        if command == "run --config":
+            cfg_path = tmp_path / "exp.cfg"
+            cfg_path.write_text("t_end = 1e308\n")
+            flags = ("run", "--config", str(cfg_path))
+        else:
+            flags = (command, "--preset", "g1i1c", "--t-end", "1e308")
+        out = tmp_path / "out"
+        code = run_cli(*flags, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and "key 't_end'" in err and "finite number of steps" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "limit"])
+    def test_save_every_past_t_end_records_as_t_end_does(self, command, tmp_path):
+        # a stride of 1e308 / dt overflows; any save_every from t_end on records the
+        # rows of save_every = t_end: step 0, t_end and the snapshot times
+        outs = [tmp_path / "huge", tmp_path / "t_end"]
+        for every, out in zip(("1e308", "0.25"), outs):
+            assert run_cli(command, "--preset", "g1i1c", "--t-end", "0.25", "--save-every",
+                           every, "--out", str(out)) == 0
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == sorted(p.name for p in outs[1].iterdir()) and "N.csv" in files
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("overrides, key", [

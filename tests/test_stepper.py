@@ -452,8 +452,8 @@ def test_nan_density_raises():
 @pytest.mark.parametrize("row", [10, BLOCK_ROWS + 7])
 def test_nan_in_a_later_block_raises(row):
     # below the threshold the NaN stays out of the suffix sums and so out of the step's
-    # N, which `advance` takes from them after `activity`: only the transport's minimum
-    # over its blocks, taken after a NaN-free top block, can see it
+    # N, which `advance` takes from them after `activity`: only the minimum over the
+    # stepped field, whose top block is free of NaN, can see it
     age, space = AgeGrid(ns=2 * BLOCK_ROWS + 100, s_max=20.0), SpatialGrid(nx=2)
     n = DensityField.from_function(age, space, lambda s, x: np.exp(-s / 5) + 0 * x)
     n.values[row, 1] = np.nan
@@ -478,6 +478,65 @@ def test_flux_counts_the_top_rows_once():
         ref = age.ds * np.sum(model.interval_rates(age, S) * nbar, axis=0)
         np.testing.assert_allclose(stepper.flux(S), ref, rtol=1e-14)
         assert stepper.hi == hi
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_kept_top_zone_sum_matches_a_fresh_stepper(data):
+    """`flux` keeps the top zone's column sum T with its hi and reuses it while the field
+    and hi stay.  After any sequence of `set_rates`, `flux` and `advance`, with hi moving up,
+    moving down, staying put and reaching the top row, `flux()` is the bits of a fresh
+    Stepper's on a copy of the field at the same S.  Keeping T past an `advance` fails
+    this; `test_kept_top_zone_sum_follows_hi` takes each move of hi in turn."""
+    n = data.draw(grids())
+    age, nx = n.age, n.space.nx
+    model = data.draw(rate_models(age))  # dt = ds/2 keeps every step inside the positivity bound
+    cfg = SolverConfig(dt=age.ds / 2)
+    # thresholds over the whole grid, the top two cells and past s_max included
+    thresholds = st.one_of(stimulation(age), st.floats(age.nodes[-3], age.s_max + 1.0))
+    stepper = Stepper(n, model, cfg)
+    S = np.array(data.draw(st.lists(thresholds, min_size=nx, max_size=nx)))
+    stepper.set_rates(S)
+    for op in data.draw(st.lists(st.sampled_from(["set_rates", "flux", "flux_S", "advance"]),
+                                 min_size=1, max_size=10)):
+        if op != "flux" and data.draw(st.booleans()):  # a new S, else hi stays put
+            S = np.array(data.draw(st.lists(thresholds, min_size=nx, max_size=nx)))
+        if op == "flux_S":
+            stepper.flux(S)
+        elif op != "flux":
+            getattr(stepper, op)(S)
+        fresh = Stepper(DensityField(stepper.values.copy(), age, n.space), model, cfg)
+        np.testing.assert_array_equal(stepper.flux(), fresh.flux(S))
+        assert fresh.hi == stepper.hi
+
+
+def test_kept_top_zone_sum_follows_hi():
+    # hi stays, moves up, moves down, stays over a step, reaches the top row and leaves
+    # it; T kept past a change of hi, or past an `advance`, fails this
+    age, space = AgeGrid(ns=20, s_max=20.0), SpatialGrid(nx=1)  # ds = 1, top row 19
+    n = DensityField.from_function(age, space, lambda s, x: 1.0 + s + 0 * x)
+    model = FiringRateModel(kind="step", p_inf=1.0, sigma=SigmaMap("identity"))
+    cfg = SolverConfig(dt=age.ds / 2)
+    stepper = Stepper(n, model, cfg)
+    for op, sigma, hi in [("flux", 9.5, 11), ("flux", 9.7, 11), ("flux", 12.5, 14),
+                          ("flux", 4.5, 6), ("advance", 4.5, 6), ("set_rates", 30.0, 19),
+                          ("set_rates", 9.5, 11)]:
+        S = np.array([sigma])
+        getattr(stepper, op)(S)
+        fresh = Stepper(DensityField(stepper.values.copy(), age, space), model, cfg)
+        np.testing.assert_array_equal(stepper.flux(), fresh.flux(S))
+        assert stepper.hi == hi
+
+
+@pytest.mark.parametrize("sigma", [0.5, 3.9, 5.0])  # firing below, in the top cell, nowhere
+def test_nan_in_the_absorbing_row_raises(sigma):
+    age, space = AgeGrid(ns=40, s_max=4.0), SpatialGrid(nx=2)
+    n = DensityField.from_function(age, space, lambda s, x: np.exp(-s) + 0 * x)
+    n.values[-1, 1] = np.nan
+    model = FiringRateModel(kind="step", p_inf=1.0, sigma=SigmaMap("identity"))
+    stepper = Stepper(n, model, SolverConfig(dt=age.ds / 2))
+    with pytest.raises(NegativeDensityError, match="nan"):
+        stepper.advance(np.full(2, sigma))
 
 
 def test_iterate_mode_forms_nbar_once_per_step(monkeypatch):
