@@ -31,7 +31,7 @@ from .diagnostics import (
     regime_certificates,
 )
 from .fixedpoint import PicardError
-from .grids import GridError
+from .grids import GridError, whole_steps
 from .limit import epsilon_study, limit_run
 from .models import ModelError
 from .output import OutputSink, fmt, format_values, kernel_csv, write_record
@@ -83,13 +83,18 @@ def _sink_for(cfg, fallback: str) -> OutputSink:
     return sink
 
 
+def _stationary_problem(exp: Experiment) -> StationaryProblem:
+    return StationaryProblem(exp.space, exp.age, exp.g, exp.model, exp.rule,
+                             exp.input_model.evaluate(exp.space))
+
+
 def _certificate_lines(exp: Experiment) -> list[str]:
-    certs = regime_certificates(
-        exp.model, exp.rule, exp.w0, exp.g,
-        exp.input_model.evaluate(exp.space), n0_max=float(exp.n0.values.max()),
-    )
+    problem = _stationary_problem(exp)
+    wellposed, limit = regime_certificates(exp.model, exp.rule, exp.w0, exp.g,
+                                           problem.input_values,
+                                           n0_max=float(exp.n0.values.max()))
     lines = ["[certificates]"]
-    for c in certs:
+    for c in (wellposed, problem.certificate(), limit):
         verdict = "holds" if c.holds else "outside proved regime"
         lines.append(f"{c.name}: lhs = {fmt(c.lhs)} -> {verdict}  ({c.description})")
     return lines
@@ -133,9 +138,8 @@ def _limit(exp: Experiment, args, sink: OutputSink):
 
 
 def _stationary(exp: Experiment, args, sink: OutputSink):
-    problem = StationaryProblem(exp.space, exp.age, exp.g, exp.model, exp.rule,
-                                exp.input_model.evaluate(exp.space))
-    states = solve_stationary(problem, tol=args.tol if args.tol is not None else 1e-12)
+    tol = args.tol if args.tol is not None else 1e-12
+    states = solve_stationary(_stationary_problem(exp), tol=tol)
     if not states:
         raise PicardError("no converged stationary state from any start", float("nan"))
     state = states[0]
@@ -143,15 +147,8 @@ def _stationary(exp: Experiment, args, sink: OutputSink):
                    np.column_stack((exp.space.nodes, state.S_star, state.N_star)))
     sink.write_text("w_star.csv", kernel_csv(format_values(exp.space.nodes),
                                              format_values(state.w_star.values)))
-    cert = state.contraction_certificate
-    summary = [
-        f"residual = {fmt(state.residual)}",
-        f"iterations = {state.iterations}",
-        f"distinct fixed points found = {len(states)}",
-        f"contraction certificate: bound = {fmt(cert.lhs)} -> "
-        + ("holds" if cert.holds else "outside proved regime"),
-    ]
-    return (summary + _certificate_lines(exp),
+    return ([f"residual = {fmt(state.residual)}", f"iterations = {state.iterations}",
+             f"distinct fixed points found = {len(states)}", *_certificate_lines(exp)],
             f"stationary residual {fmt(state.residual)}; wrote to {{directory}}")
 
 
@@ -179,6 +176,9 @@ def _epsilon_study(exp: Experiment, args, sink: OutputSink):
 
 
 def _large_input_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    if (steps := whole_steps(cfg.t_end, dt := cfg.resolved_dt())) % 2:
+        raise ConfigError(f"t_end = {cfg.t_end} is {steps} steps of dt = {dt}; large-input "
+                          f"also samples at t_end / 2, which needs an even number", key="t_end")
     if cfg.sigma == "identity":
         # the frozen large-stimulation rate must stay on the age grid
         cfg = with_overrides(cfg, sigma="bounded", sigma_max=min(2.0, cfg.s_max / 4.0))
@@ -203,7 +203,7 @@ class Command(NamedTuple):
     # (experiment, args, sink) -> (summary lines, stdout template with {files} and
     # {directory}, or None to echo the summary); may raise SOLVER_ERRORS
     run: Callable
-    adjust: Callable | None = None  # config -> config, before the build
+    adjust: Callable | None = None  # config -> config before the build; may raise ConfigError
 
 
 COMMANDS = {

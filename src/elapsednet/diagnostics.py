@@ -146,21 +146,17 @@ def homogenization_metrics(record: RunRecord) -> HomogenizationSeries:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
+    """A sufficient smallness condition `description`, which holds where its lhs < 1."""
+
     name: str
     lhs: float
-    holds: bool
     description: str
 
-
-def stationary_contraction(rule: LearningRule, lipF: float, supF: float,
-                           g_max: float) -> Certificate:
-    """gamma ||F'|| (2 ||g|| ||F|| + 1) < 1, sufficient for a unique stationary state, from
-    bounds lipF >= |F'| and supF >= F on a band holding every stationary S, g_max = ||g||."""
-    lhs = rule.gamma * lipF * (2.0 * g_max * supF + 1.0)
-    return Certificate("stationary_contraction", lhs, lhs < 1.0,
-                       "gamma ||F'|| (2 ||g|| ||F|| + 1) < 1")
+    @property
+    def holds(self) -> bool:
+        return self.lhs < 1.0
 
 
 def regime_certificates(
@@ -171,32 +167,20 @@ def regime_certificates(
     input_values: np.ndarray,
     n0_max: float,
 ) -> list[Certificate]:
-    """The proof-side sufficient smallness conditions, each with its computed
-    left-hand side (threshold 1).  Sufficient, never claimed necessary."""
-    g = np.asarray(g, dtype=float)
-    A = max(float(w0.values.max()), rule.gamma)
-    g_max = float(g.max())
-    S_lo, S_hi = stimulation_bounds(model, rule, float(w0.values.max()), g_max, input_values)
-    lipF, supF = F_bounds(model, S_lo, S_hi)
+    """The proof-side sufficient smallness conditions on the band that the initial kernel
+    w0 can reach, well-posedness then the limit's uniqueness, each with its computed
+    left-hand side.  Sufficient, never claimed necessary.  The stationary contraction
+    does not depend on w0: it is `StationaryProblem.certificate`."""
+    w0_max, g_max = float(w0.values.max()), float(np.max(g))
+    A = rule.kernel_bound(w0_max)
+    lipF, _ = F_bounds(model, *stimulation_bounds(model, rule, w0_max, g_max, input_values))
 
-    certs: list[Certificate] = []
     if model.kind == "step":
         B = n0_max + model.p_inf * g_max
-        lhs = model.p_inf * model.sigma.lipschitz * A * B
-        certs.append(Certificate(
-            "wellposed_step", lhs, lhs < 1.0,
-            "p_inf ||sigma'|| |Omega| max(||w0||, gamma) (||n0|| + p_inf ||g||) < 1",
-        ))
+        wellposed = Certificate(
+            "wellposed_step", model.p_inf * model.sigma.lipschitz * A * B,
+            "p_inf ||sigma'|| |Omega| max(||w0||, gamma) (||n0|| + p_inf ||g||) < 1")
     else:
-        lhs = g_max * model.dpdS_bound * A
-        certs.append(Certificate(
-            "wellposed_smooth", lhs, lhs < 1.0,
-            "||g|| |Omega| ||dp/dS|| max(||w0||, gamma) < 1",
-        ))
-    certs.append(stationary_contraction(rule, lipF, supF, g_max))
-    lhs_lim = A * lipF
-    certs.append(Certificate(
-        "limit_uniqueness", lhs_lim, lhs_lim < 1.0,
-        "max(||w0||, gamma) ||F'|| < 1",
-    ))
-    return certs
+        wellposed = Certificate("wellposed_smooth", g_max * model.dpdS_bound * A,
+                                "||g|| |Omega| ||dp/dS|| max(||w0||, gamma) < 1")
+    return [wellposed, Certificate("limit_uniqueness", A * lipF, "max(||w0||, gamma) ||F'|| < 1")]

@@ -34,7 +34,7 @@ def whole_steps(t: float, dt: float, field: str = "t_end") -> int:
     if not np.isfinite(steps := t / dt):
         raise GridError(f"{field} = {t} is no finite number of steps of dt = {dt}", field=field)
     steps = int(round(steps))
-    if abs(steps * dt - t) > 1e-9 * max(1.0, t):
+    if abs(steps * dt - t) > 1e-9 * abs(t):
         raise GridError(f"{field} = {t} is not a multiple of dt = {dt}", field=field)
     return steps
 

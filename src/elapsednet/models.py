@@ -307,6 +307,10 @@ class LearningRule:
         w *= decay
         w += target
 
+    def kernel_bound(self, w0_max: float) -> float:
+        """The uniform kernel bound A = max(||w0||_inf, gamma), taking G <= 1 where N reaches."""
+        return max(w0_max, self.gamma)
+
     def warn_if_unnormalized(self, N_max: float) -> None:
         """The Hebbian rule can exceed 1 on large activities; warn, never reject.  A rule of
         gain 0 never moves the kernel and stays silent."""
@@ -374,10 +378,10 @@ def stimulation_bounds(
 ) -> tuple[float, float]:
     """A-priori reachable stimulation interval [min I, A p_inf ||g|| + max I].
 
-    A = max(||w0||_inf, gamma) is the uniform kernel bound and p_inf ||g||_inf
+    A = `rule.kernel_bound(w0_max)` is the uniform kernel bound and p_inf ||g||_inf
     bounds the activity, so S = integral(w N) + I stays in this band.
     """
-    A = max(w0_max, rule.gamma)
+    A = rule.kernel_bound(w0_max)
     lo = float(np.min(input_values))
     hi = A * model.p_inf * g_max + float(np.max(input_values))
     return lo, hi

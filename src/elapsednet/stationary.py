@@ -7,9 +7,9 @@ A steady state is determined by a stimulation profile S(x) satisfying
 from which the activity N = g F(S), the kernel w = gamma G(N(x), N(y)) and
 the age profile n(s, x) = N(x) exp(-hazard) follow in closed form.  The
 iteration is Anderson mixing (`fixedpoint.damped_fixed_point`) from three
-starts, keeping the distinct converged states; the contraction certificate
-gamma ||F'|| (2 ||g|| ||F|| + 1) < 1, sufficient for a unique state, is
-reported but convergence is attempted regardless.
+starts, keeping the distinct converged states.  `StationaryProblem.certificate`
+is the contraction certificate gamma ||F'|| (2 ||g|| ||F|| + 1) < 1, sufficient
+for a unique state; the solver does not consult it and iterates regardless.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import Certificate, stationary_contraction
+from .diagnostics import Certificate
 from .fixedpoint import PicardResult, damped_fixed_point
 from .grids import AgeGrid, ConnectivityKernel, DensityField, SpatialGrid
 from .models import (F_bounds, FiringRateModel, LearningRule, slaved_profile,
@@ -32,7 +32,6 @@ class StationaryState:
     w_star: ConnectivityKernel
     n_star: DensityField
     residual: float
-    contraction_certificate: Certificate
     iterations: int
     residual_history: list[float]
 
@@ -58,11 +57,16 @@ class StationaryProblem:
         return self.rule.gamma * (G @ (self.space.weights * N)) + self.input_values
 
     def certificate(self) -> Certificate:
+        """gamma ||F'|| (2 ||g|| ||F|| + 1) < 1, sufficient for a unique stationary state, with
+        F bounded on the band of a zero w0: a stationary kernel is gamma G(N, N), whatever w0."""
         g_max = float(self.g.max())
-        lo, hi = stimulation_bounds(self.model, self.rule, 0.0, g_max, self.input_values)
-        return stationary_contraction(self.rule, *F_bounds(self.model, lo, hi), g_max)
+        band = stimulation_bounds(self.model, self.rule, 0.0, g_max, self.input_values)
+        lipF, supF = F_bounds(self.model, *band)
+        return Certificate("stationary_contraction",
+                           self.rule.gamma * lipF * (2.0 * g_max * supF + 1.0),
+                           "gamma ||F'|| (2 ||g|| ||F|| + 1) < 1")
 
-    def reconstruct(self, result: PicardResult, certificate: Certificate) -> StationaryState:
+    def reconstruct(self, result: PicardResult) -> StationaryState:
         """The steady state at the iteration's S: N = g F(S), w = gamma G(N(x), N(y)) and
         the density `slaved_profile`, whose trapezoid mass is g in every column."""
         S = result.value
@@ -74,7 +78,6 @@ class StationaryProblem:
             n_star=DensityField(slaved_profile(self.model, self.age, S, self.g), self.age,
                                 self.space),
             residual=result.residual,
-            contraction_certificate=certificate,
             iterations=result.iterations,
             residual_history=result.residual_history,
         )
@@ -86,17 +89,15 @@ def solve_stationary(problem: StationaryProblem, tol: float = 1e-12,
     I, I + gamma and 0: the distinct converged states (sup-distance > 10 tol apart) in
     the order of their starts, none for a start that does not converge.  Where there are
     several states, a start may reach one that plain Picard iteration repels (see
-    `damped_fixed_point`).  The contraction certificate is computed once and shared by
-    every state.
+    `damped_fixed_point`).  It forms no certificate; that is `problem.certificate()`.
     """
-    certificate = problem.certificate()
     I = problem.input_values
     states: list[StationaryState] = []
     for start in (I, I + problem.rule.gamma, np.zeros_like(I)):
         result = damped_fixed_point(problem.apply_T, start, tol=tol, max_iters=max_iters)
         if result.converged and all(np.abs(result.value - other.S_star).max() > 10 * tol
                                     for other in states):
-            states.append(problem.reconstruct(result, certificate))
+            states.append(problem.reconstruct(result))
     return states
 
 

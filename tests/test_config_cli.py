@@ -1,7 +1,6 @@
 import os
 import re
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +18,10 @@ from elapsednet.config import (
 )
 from elapsednet.fixedpoint import PicardError
 from elapsednet.models import ModelError
+from elapsednet.output import fmt
 from elapsednet.presets import PRESETS, get_preset, list_presets
 from elapsednet.renewal import PicardOptions
+from elapsednet.stationary import StationaryProblem
 
 
 class TestParseConfig:
@@ -216,19 +217,30 @@ class TestCLI:
         assert (out / "stationary.csv").exists()
         assert (out / "w_star.csv").exists()
 
-    def test_stationary_contraction_lines_agree(self, tmp_path):
-        # the command forms its certificate on the band of a zero kernel and the regime
-        # certificates on the initial kernel's: both bands start at min I, and F_bounds
-        # reads only a band's low end, so the two lines print one number
-        smooth = Path(__file__).resolve().parents[1] / "bench" / "configs" / "g10i1v_smooth.cfg"
-        text = smooth.read_text()
-        assert "gamma = 10.0" in text
-        config, out = tmp_path / "smooth.cfg", tmp_path / "st"
-        config.write_text(text.replace("gamma = 10.0", "gamma = 1.0"))
-        assert run_cli("stationary", "--config", str(config), "--out", str(out)) == 0
-        summary = (out / "summary.txt").read_text()
-        bound = re.search(r"^contraction certificate: bound = (\S+)", summary, re.M)[1]
-        assert re.search(r"^stationary_contraction: lhs = (\S+)", summary, re.M)[1] == bound
+    @pytest.mark.parametrize("command", ["run", "limit", "stationary"])
+    @pytest.mark.parametrize("source", ["g1i1v", "negative_input"])
+    def test_one_stationary_contraction_line_from_the_stationary_problem(
+            self, command, source, tmp_path):
+        if source == "negative_input":
+            # a kernel of 10 lifts the initial band to S > 0, where sigma rises, but a
+            # stationary band stays below 0, where sigma is flat: F' = 0 there exactly
+            cfg_path = tmp_path / "exp.cfg"
+            cfg_path.write_text("nx = 4\nns = 400\ns_max = 20\nt_end = 0.25\ngamma = 0.1\n"
+                                "input = table\ninput_table = -0.5, -0.5, -1, -1\n")
+            args, cfg = ("--config", str(cfg_path)), parse_config(cfg_path.read_text())
+        else:
+            args = ("--preset", source, "--t-end", "0.25")
+            cfg = with_overrides(get_preset(source).config, t_end=0.25)
+        out = tmp_path / "out"
+        assert run_cli(command, *args, "--out", str(out)) == 0
+        block = (out / "summary.txt").read_text().split("[certificates]\n")[1]
+        lines = re.findall(r"^stationary_contraction: lhs = (\S+) ", block, re.M)
+        exp = build_experiment(cfg)
+        problem = StationaryProblem(exp.space, exp.age, exp.g, exp.model, exp.rule,
+                                    exp.input_model.evaluate(exp.space))
+        assert lines == [fmt(problem.certificate().lhs)]
+        if source == "negative_input":
+            assert lines == ["0"]
 
     def test_doeblin_subcommand(self, tmp_path):
         out = tmp_path / "db"
@@ -429,15 +441,25 @@ class TestCLI:
         assert "summary.txt" in listed and (csv is None or csv in listed)
         assert (out / "summary.txt").read_text().startswith(f"[{command}]\n")
 
-    @pytest.mark.filterwarnings("ignore:initial density carries")
-    def test_large_input_with_an_odd_step_count_is_incomplete(self, tmp_path):
+    def test_large_input_with_an_odd_step_count_is_refused(self, tmp_path, capsys):
+        # the study samples at t_end / 2, which falls between two of an odd number of steps
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("nx = 8\nns = 200\ns_max = 10\nkernel_amplitude = 2\n"
                             "t_end = 0.075\nlarge_input_k = 1, 10\n")  # 3 steps of 0.025
         out = tmp_path / "out"
-        assert run_cli("large-input", "--config", str(cfg_path), "--out", str(out)) == 1
-        manifest = (out / "MANIFEST").read_text()
-        assert "status = incomplete" in manifest and "not a multiple of dt" in manifest
+        assert run_cli("large-input", "--config", str(cfg_path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "key 't_end'" in err and "3 steps" in err and "sample_times" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "limit", "epsilon-study", "large-input"])
+    def test_t_end_below_half_a_step_is_refused(self, command, tmp_path, capsys):
+        # 1e-12 rounds to 0 steps of dt = 0.0125; it is no whole number of them
+        out = tmp_path / "out"
+        code = run_cli(command, "--preset", "g1i1c", "--t-end", "1e-12", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and "key 't_end'" in err and "not a multiple of dt" in err
+        assert not out.exists()
 
     def test_epsilon_of_too_many_steps_is_incomplete(self, tmp_path, capsys):
         # a subnormal epsilon's step divides t_end into an infinite number of steps

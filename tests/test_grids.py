@@ -8,6 +8,7 @@ from elapsednet.grids import (
     GridError,
     SpatialGrid,
     norms,
+    whole_steps,
 )
 
 
@@ -17,6 +18,20 @@ def simpson(f, a, b, n):
     y = f(x)
     h = (b - a) / n
     return h / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum())
+
+
+class TestWholeSteps:
+    @pytest.mark.parametrize("t", [1e-12, 1e-10, 0.5 + 8e-10])
+    def test_refuses_a_time_off_the_grid_by_less_than_1e_9(self, t):
+        # the tolerance is relative to t: 1e-12 rounds to 0 steps of 0.0125, 1e-12 off
+        with pytest.raises(GridError, match="is not a multiple of dt") as caught:
+            whole_steps(t, 0.0125)
+        assert caught.value.field == "t_end"
+
+    @pytest.mark.parametrize("t, dt, steps", [(0.0, 0.0125, 0), (3e-12, 1e-12, 3),
+                                              (0.3, 0.1, 3), (-1.0, 0.0125, -80)])
+    def test_whole_multiples_of_any_size_pass(self, t, dt, steps):
+        assert whole_steps(t, dt) == steps
 
 
 class TestSpatialGrid:

@@ -88,8 +88,7 @@ class TestSolveStationary:
 
     def test_certificate_and_geometric_decay(self):
         prob = make_problem(1.0, 1.0)
-        state = solve_stationary(prob, tol=1e-12)[0]
-        cert = state.contraction_certificate
+        cert = prob.certificate()
         assert cert.holds
         # the certificate bounds the contraction of apply_T itself, so plain steps of it
         S, hist = prob.input_values, []

@@ -30,6 +30,9 @@ COMMANDS = {  # name: arguments
     "stationary_g15i1c": "stationary --preset g15i1c", "doeblin_g1i1c": "doeblin --preset g1i1c",
     "large_input_g1i1c": "large-input --preset g1i1c --t-end 1",
     "epsilon_study_g1i1c": "epsilon-study --preset g1i1c --t-end 0.5",
+    # refused with exit 2: less than half a step, and an odd step count for large-input
+    "run_g1i1c_subhalf_step": "run --preset g1i1c --t-end 1e-12",
+    "large_input_g1i1c_odd_steps": "large-input --preset g1i1c --t-end 0.0375",
 }
 ENV = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                         "PYTHONDONTWRITEBYTECODE")}
