@@ -176,9 +176,10 @@ def _epsilon_study(exp: Experiment, args, sink: OutputSink):
 
 
 def _large_input_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    if (steps := whole_steps(cfg.t_end, dt := cfg.resolved_dt())) % 2:
-        raise ConfigError(f"t_end = {cfg.t_end} is {steps} steps of dt = {dt}; large-input "
-                          f"also samples at t_end / 2, which needs an even number", key="t_end")
+    if whole_steps(cfg.t_end, cfg.resolved_dt()) % 2:
+        raise ConfigError(f"t_end = {cfg.t_end} is an odd number of steps of dt = "
+                          f"{cfg.resolved_dt()}; large-input also samples at t_end / 2",
+                          key="t_end")
     if cfg.sigma == "identity":
         # the frozen large-stimulation rate must stay on the age grid
         cfg = with_overrides(cfg, sigma="bounded", sigma_max=min(2.0, cfg.s_max / 4.0))

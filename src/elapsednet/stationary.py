@@ -89,7 +89,7 @@ def solve_stationary(problem: StationaryProblem, tol: float = 1e-12,
     I, I + gamma and 0: the distinct converged states (sup-distance > 10 tol apart) in
     the order of their starts, none for a start that does not converge.  Where there are
     several states, a start may reach one that plain Picard iteration repels (see
-    `damped_fixed_point`).  It forms no certificate; that is `problem.certificate()`.
+    `damped_fixed_point`).
     """
     I = problem.input_values
     states: list[StationaryState] = []

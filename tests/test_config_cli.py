@@ -449,7 +449,7 @@ class TestCLI:
         out = tmp_path / "out"
         assert run_cli("large-input", "--config", str(cfg_path), "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert "key 't_end'" in err and "3 steps" in err and "sample_times" not in err
+        assert "key 't_end'" in err and "odd number of steps" in err and "sample_times" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "limit", "epsilon-study", "large-input"])
