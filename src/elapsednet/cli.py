@@ -133,7 +133,8 @@ def _limit(exp: Experiment, args, sink: OutputSink):
     cfg = exp.config
     record = limit_run(exp.w0, exp.g, exp.model, exp.rule, exp.input_model,
                        dt=cfg.resolved_dt(), t_end=cfg.t_end, save_every=cfg.save_every,
-                       snapshot_times=(0.0, cfg.t_end), inner_tol=cfg.picard_tol)
+                       snapshot_times=(0.0, cfg.t_end), inner_tol=cfg.picard_tol,
+                       inner_max_iters=cfg.picard_max_iters)
     return _record_lines(sink, record) + _certificate_lines(exp), _WROTE_FILES
 
 

@@ -1,10 +1,11 @@
-"""Anderson-mixed fixed-point iteration shared by the stimulation couplings and solvers."""
+"""Anderson-mixed fixed-point iteration shared by the stimulation couplings and solvers,
+and the extrapolated start of a solve that moves with time."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,6 +56,13 @@ def _least_squares(gram: list[list[float]], rhs: list[float], newest: int) -> li
             total += L[i][j] * c[i]
         c[j] = (L[m][j] - total) / L[j][j]
     return [c[(newest - s) % m] for s in range(m)]
+
+
+def extrapolate(past: Sequence[np.ndarray]) -> np.ndarray:
+    """The polynomial through the last one, two or three solutions at equal steps, newest
+    first, at the next step: a constant, linear or quadratic start for a warm-started solve."""
+    weights = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))[len(past) - 1]
+    return sum(c * x for c, x in zip(weights, past))
 
 
 def damped_fixed_point(apply_map: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,

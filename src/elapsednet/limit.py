@@ -8,25 +8,25 @@ instantaneously, leaving per time step an algebraic fixed point
 the closed-form activity N = g F(S) and the kernel relaxation toward
 gamma G(N(x), N(y)).  There is no transport step and hence no CFL
 restriction; the kernel is advanced by the exact one-step exponential
-formula.  The inner fixed point is solved by warm-started Anderson mixing;
-its map is a guaranteed contraction when ||w|| ||F'|| < 1, and outside that
-regime the mixing reports what it finds.
+formula.  The inner fixed point is solved by Anderson mixing from the
+quadratic through the last three solutions, and N is taken from its last map
+evaluation; the map is a guaranteed contraction when ||w|| ||F'|| < 1, and
+outside that regime the mixing reports what it finds.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import PicardError, damped_fixed_point
+from .fixedpoint import PicardError, damped_fixed_point, extrapolate
 from .grids import ConnectivityKernel, DensityField, GridError
 from .models import (FiringRateModel, InputModel, LearningRule, ModelError, slaved_profile,
                      survival_F)
 from .renewal import PicardOptions, Recorder, RunRecord, SolverConfig, nonlinear_steps
-
-INNER_MAX_ITERS = 500
 
 
 def inner_fixed_point(
@@ -36,24 +36,29 @@ def inner_fixed_point(
     I_t: np.ndarray,
     S_guess: np.ndarray | None = None,
     tol: float = 1e-12,
-) -> np.ndarray:
-    """Solve S = integral(w g F(S)) + I by Anderson mixing from S_guess in at most
-    INNER_MAX_ITERS iterations."""
+    max_iters: int = 200,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve S = integral(w g F(S)) + I by Anderson mixing from S_guess in at most max_iters
+    iterations.  Returns the last map evaluation, at the iterate x whose residual passed:
+    S = integral(w N) + I and N = g F(x)."""
     wq = w.values * w.space.weights[None, :]
     gv = np.asarray(g, dtype=float)
+    N = None  # of the last map evaluation
 
     def apply_map(S: np.ndarray) -> np.ndarray:
-        return wq @ (gv * survival_F(model, S)) + I_t
+        nonlocal N
+        N = gv * survival_F(model, S)
+        return wq @ N + I_t
 
     start = I_t if S_guess is None else np.asarray(S_guess, dtype=float)
-    result = damped_fixed_point(apply_map, start, tol, INNER_MAX_ITERS)
+    result = damped_fixed_point(apply_map, start, tol, max_iters)
     if not result.converged:
         raise PicardError(
             f"inner stimulation fixed point stalled at residual {result.residual:.3e} "
             f"(strong-kernel regime)",
             result.residual,
         )
-    return result.value
+    return result.value, N
 
 
 def limit_run(
@@ -67,9 +72,11 @@ def limit_run(
     save_every: float | None = None,
     snapshot_times: tuple[float, ...] = (),
     inner_tol: float = 1e-12,
+    inner_max_iters: int = 200,
 ) -> RunRecord:
     """Integrate the limit system: inner fixed point, then kernel relaxation of a
-    copy of w0.  The density is slaved to S, so no age grid enters the run.
+    copy of w0.  The density is slaved to S, so no age grid enters the run.  Each
+    step's inner solve starts from the `extrapolate` of the last three solutions.
 
     Uniqueness of the inner fixed point is guaranteed when
     max(||w0||, gamma) ||F'|| < 1, the `limit_uniqueness` regime certificate;
@@ -82,13 +89,14 @@ def limit_run(
     decay = np.exp(-dt)
 
     w = w0.copy()
-    S = inner_fixed_point(w, g, model, I_vals, S_guess=None, tol=inner_tol)
-    N = g * survival_F(model, S)
+    S, N = inner_fixed_point(w, g, model, I_vals, None, inner_tol, inner_max_iters)
+    past = deque([S], maxlen=3)  # the inner solutions, newest first
     recorder.save(0, N, S, g, w.values)
     for step in range(1, recorder.n_steps + 1):
         rule.relax(w.values, N, decay)
-        S = inner_fixed_point(w, g, model, I_vals, S_guess=S, tol=inner_tol)
-        N = g * survival_F(model, S)
+        S, N = inner_fixed_point(w, g, model, I_vals, extrapolate(past), inner_tol,
+                                 inner_max_iters)
+        past.appendleft(S)
         if recorder.due(step):
             recorder.save(step, N, S, g, w.values)
     return recorder.record()

@@ -34,11 +34,12 @@ step, which is unconditionally stable.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixedpoint import PicardError, damped_fixed_point
+from .fixedpoint import PicardError, damped_fixed_point, extrapolate
 from .grids import (AgeGrid, ConnectivityKernel, DensityField, FieldError, GridError,
                     SpatialGrid, whole_steps)
 from .models import FiringRateModel, InputModel, LearningRule, ModelError
@@ -193,6 +194,7 @@ class Stepper:
         self.ones = np.ones(n.age.ns)  # column sums as BLAS products
         (self.B0, self.B1), (self.A0, self.A1) = self.coefficients(np.array([0.0, model.p_inf]))
         self.edges, self.cols = n.age.nodes, np.arange(n.space.nx)  # cols: activity's gathers
+        self.inner_edges = self.edges[1:-1]  # threshold_cell's sorted search
         self.nbar = self.suffix = None  # formed by the step-kind `activity`
         self.steps, self.formed, self.T_hi = 0, 0, -1  # rows of nbar and C formed; T's hi
 
@@ -237,7 +239,7 @@ class Stepper:
 
     def threshold_cell(self, sig: np.ndarray) -> np.ndarray:
         """Per column the cell k with s_k <= sigma < s_{k+1}, clipped to the grid."""
-        return np.searchsorted(self.edges[1:-1], sig, side="right")
+        return self.inner_edges.searchsorted(sig, side="right")
 
     def set_rates(self, S: np.ndarray) -> None:
         """The band [lo, hi) at S, its `rates` and `coefficients` B and A, and the field's
@@ -351,9 +353,9 @@ def nonlinear_steps(
     due rows and yielding (t, values, N, S) at step 0 and after every step.
 
     Per step: (i) activity N from the current density and stimulation;
-    (ii) S = integral(w N) + I, once in 'lagged' mode or solved by Anderson
-    mixing to the configured tolerance in 'iterate' mode; (iii) upwind
-    transport step with S frozen; (iv) kernel update
+    (ii) S = integral(w N) + I, once in 'lagged' mode or, in 'iterate' mode, solved by
+    Anderson mixing to the configured tolerance from the `extrapolate` of the last three
+    solutions; (iii) upwind transport step with S frozen; (iv) kernel update
     w <- exp(-dt) w + (1 - exp(-dt)) gamma G(N(x), N(y)) with N frozen.
 
     `values` is the live density until the generator is resumed, so studies read it
@@ -389,6 +391,7 @@ def nonlinear_steps(
 
     # the initial stimulation solves the coupling on n0
     S = solve_coupling(I_vals, 0)
+    past = deque([S], maxlen=3)  # the coupling's solutions in 'iterate' mode, newest first
     N = stepper.flux(S)
     recorder.save(0, N, S, age.integrate(stepper.values), w)
     yield 0.0, stepper.values, N, S
@@ -399,7 +402,8 @@ def nonlinear_steps(
             # the zones are those the last transport step set
             S = w @ (xw * stepper.flux()) + I_vals
         else:
-            S = solve_coupling(S, step)
+            S = solve_coupling(extrapolate(past), step)
+            past.appendleft(S)
 
         # (iii): transport with S frozen; the injected flux is the activity
         N = stepper.advance(S)

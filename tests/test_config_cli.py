@@ -281,6 +281,16 @@ class TestCLI:
         assert code == 1
         assert "status = incomplete" in (out / "MANIFEST").read_text()
 
+    def test_limit_honours_picard_max_iters(self, tmp_path, capsys):
+        # one iteration cannot solve the inner fixed point of g1i1c at t = 0
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(serialize_config(with_overrides(get_preset("g1i1c").config,
+                                                            picard_max_iters=1)))
+        out = tmp_path / "out"
+        assert run_cli("limit", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert "inner stimulation fixed point stalled" in capsys.readouterr().err
+        assert "status = incomplete" in (out / "MANIFEST").read_text()
+
     @pytest.mark.parametrize("command", ["run", "limit"])
     def test_off_grid_t_end_is_refused(self, command, tmp_path, capsys):
         # dt = 0.0125 on g1i1c; the refusal names t_end before any output exists

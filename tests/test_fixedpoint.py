@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from elapsednet.fixedpoint import DEPENDENT, MEMORY, _least_squares, damped_fixed_point
+from elapsednet.fixedpoint import (DEPENDENT, MEMORY, _least_squares, damped_fixed_point,
+                                   extrapolate)
 
 EPS = np.finfo(float).eps
 
@@ -71,6 +72,22 @@ def test_keeps_the_attractor_of_plain_iteration_on_a_bistable_map(start):
     expected = plain_picard(lambda x: np.tanh(3.0 * x), x0, 1e-12)
     np.testing.assert_allclose(res.value, expected, atol=1e-10)
     assert np.all(np.sign(res.value) == np.sign(x0))
+
+
+@settings(deadline=None)
+@given(degree=st.integers(0, 2),
+       coefficients=st.lists(st.lists(st.floats(-1e3, 1e3, allow_subnormal=False),
+                                      min_size=3, max_size=3), min_size=1, max_size=8))
+def test_extrapolate_continues_a_polynomial_of_its_order(degree, coefficients):
+    """From the values at k = 0, ..., degree of a polynomial of that degree per component,
+    given newest first, the next value to round-off: one value starts a solve from itself,
+    two from their line and three from their parabola."""
+    c = np.array(coefficients)[:, : degree + 1]  # per component, the coefficients of k^p
+    powers = np.arange(degree + 1)
+    values = [c @ float(k) ** powers for k in range(degree + 2)]
+    scale = np.abs(c) @ float(degree + 1) ** powers  # bounds every term of every value
+    error = np.abs(extrapolate(values[degree::-1]) - values[-1])
+    assert np.all(error <= 16 * (degree + 1) * EPS * scale)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])

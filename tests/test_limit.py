@@ -19,12 +19,25 @@ def step_model():
     return FiringRateModel(kind="step", p_inf=1.0, sigma=SigmaMap("identity"))
 
 
+def count_map_evaluations(monkeypatch) -> list[int]:
+    """A one-element list that sums the limit's inner map evaluations while the test runs."""
+    evaluations, solve = [0], limit_module.damped_fixed_point
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        evaluations[0] += result.iterations
+        return result
+
+    monkeypatch.setattr(limit_module, "damped_fixed_point", counted)
+    return evaluations
+
+
 class TestInnerFixedPoint:
     def test_zero_kernel_returns_input(self):
         space = SpatialGrid(nx=8)
         w = ConnectivityKernel.constant(space, 0.0)
         I = np.linspace(0.5, 1.5, 8)
-        S = inner_fixed_point(w, np.ones(8), step_model(), I)
+        S, _ = inner_fixed_point(w, np.ones(8), step_model(), I)
         np.testing.assert_allclose(S, I, atol=1e-13)
 
     def test_constant_kernel_quadratic_root(self):
@@ -33,12 +46,12 @@ class TestInnerFixedPoint:
         space = SpatialGrid(nx=8)
         w = ConnectivityKernel.constant(space, 2.0)
         I = np.ones(8)
-        S = inner_fixed_point(w, np.ones(8), step_model(), I)
+        S, _ = inner_fixed_point(w, np.ones(8), step_model(), I)
         np.testing.assert_allclose(S, math.sqrt(3.0), atol=1e-11)
 
     def test_preset_kernel_in_apriori_band(self):
         exp = build_experiment(get_preset("Lg1i1c").config)
-        S = inner_fixed_point(exp.w0, exp.g, exp.model, exp.input_model.evaluate(exp.space))
+        S, _ = inner_fixed_point(exp.w0, exp.g, exp.model, exp.input_model.evaluate(exp.space))
         wq = exp.w0.values * exp.space.weights[None, :]
         F = np.asarray(survival_F(exp.model, S))
         residual = np.abs(wq @ (exp.g * F) + 1.0 - S).max()
@@ -82,6 +95,34 @@ class TestLimitRun:
             if w is not None:
                 wq = w * exp.space.weights[None, :]
                 assert np.abs(wq @ N + 1.0 - S).max() < 1e-10
+
+    def test_one_survival_F_call_per_inner_map_evaluation(self, monkeypatch):
+        # the smooth rate, whose F is a quadrature: N comes from the solve's last map
+        # evaluation, so no step evaluates F at its solution once more
+        space = SpatialGrid(nx=4)
+        model = FiringRateModel(kind="smooth", p_inf=1.0, sigma=SigmaMap("identity"),
+                                p_star=0.5, s_star=6.0, theta=0.5)
+        calls, evaluations = [0], count_map_evaluations(monkeypatch)
+
+        def counted_F(*args):
+            calls[0] += 1
+            return survival_F(*args)
+
+        monkeypatch.setattr(limit_module, "survival_F", counted_F)
+        w0 = ConnectivityKernel.from_function(space, lambda x, y: 1.0 + x * y)
+        limit_run(w0, np.ones(4), model, LearningRule("gaussian_sigmoid", 2.0),
+                  InputModel("sin_squared", amplitude=1.0), dt=0.05, t_end=0.5)
+        assert calls[0] == evaluations[0] > 0
+
+    def test_short_Lg10i1v_limit_takes_at_most_700_inner_map_evaluations(self, monkeypatch):
+        # 653 from predicted starts, 956 from each step's last solution; the tolerance is
+        # the CLI's picard_tol
+        exp = build_experiment(get_preset("Lg10i1v").config)
+        evaluations = count_map_evaluations(monkeypatch)
+        limit_run(exp.w0, exp.g, exp.model, exp.rule, exp.input_model,
+                  dt=exp.config.resolved_dt(), t_end=2.0,
+                  inner_tol=exp.config.picard_tol)
+        assert evaluations[0] <= 700
 
     def test_homogenizes_and_matches_stationary(self):
         exp = build_experiment(get_preset("Lg1i1c").config)

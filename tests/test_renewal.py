@@ -331,6 +331,26 @@ class TestNonlinearRun:
                             exp.solver, t_end=2.0, save_every=0.25)
         assert np.abs(rec.mass_series - exp.g[None, :]).max() <= 1e-10
 
+    def test_g1i1v_iterate_takes_at_most_850_map_evaluations(self, monkeypatch):
+        # `run --preset g1i1v --picard iterate --t-end 2`: 818 from predicted starts, 1,014
+        # from each step's last solution
+        import elapsednet.renewal as renewal
+        from elapsednet.config import build_experiment, with_overrides
+        from elapsednet.presets import get_preset
+
+        exp = build_experiment(with_overrides(get_preset("g1i1v").config, picard="iterate"))
+        evaluations = [0]
+
+        def counted(*args, **kwargs):
+            result = damped_fixed_point(*args, **kwargs)
+            evaluations[0] += result.iterations
+            return result
+
+        monkeypatch.setattr(renewal, "damped_fixed_point", counted)
+        nonlinear_run(exp.n0, exp.w0, exp.model, exp.rule, exp.input_model, exp.solver,
+                      t_end=2.0)
+        assert evaluations[0] <= 850
+
     def test_iterate_nonconvergence_reports_residual(self):
         age, space = AgeGrid(ns=100, s_max=20.0), SpatialGrid(nx=4)
         n0 = DensityField.from_function(age, space, lambda s, x: np.exp(-s) + 0 * x)

@@ -24,6 +24,7 @@ COMMANDS = {  # name: arguments
     "run_g1i1c": "run --preset g1i1c", "run_g35i5c": "run --preset g35i5c",
     "run_g20i5v": "run --preset g20i5v", "run_g15i1c": "run --preset g15i1c --t-end 5",
     "run_g1i1v_iterate": "run --preset g1i1v --picard iterate --t-end 2",
+    "run_g35i5c_iterate": "run --preset g35i5c --picard iterate --t-end 5",
     "run_smooth_iterate": f"run {SMOOTH} --picard iterate --t-end 0.5",
     "limit_Lg10i1v": "limit --preset Lg10i1v", "limit_smooth": f"limit {SMOOTH} --t-end 0.0625",
     "stationary_smooth": f"stationary {SMOOTH}", "stationary_g1i1v": "stationary --preset g1i1v",
