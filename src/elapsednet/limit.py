@@ -89,7 +89,7 @@ def limit_run(
     decay = np.exp(-dt)
 
     w = w0.copy()
-    S, N = inner_fixed_point(w, g, model, I_vals, None, inner_tol, inner_max_iters)
+    S, N = inner_fixed_point(w, g, model, I_vals, tol=inner_tol, max_iters=inner_max_iters)
     past = deque([S], maxlen=3)  # the inner solutions, newest first
     recorder.save(0, N, S, g, w.values)
     for step in range(1, recorder.n_steps + 1):
